@@ -146,10 +146,3 @@ func BenchmarkAblation_Granularity(b *testing.B) {
 func BenchmarkAppendixA_Memory(b *testing.B) {
 	run(b, "Appendix A — memory model", exp.AppendixAMemory)
 }
-
-// The per-engine streaming benchmarks (BenchmarkEngine_Seq/Lockstep/Async)
-// live in internal/core/bench_test.go next to the engines they measure; the
-// root package keeps the experiment-level comparison below.
-func BenchmarkEngine_Throughput(b *testing.B) {
-	run(b, "Engine comparison — seq vs lockstep vs async", exp.EngineThroughput)
-}

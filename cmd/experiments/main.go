@@ -43,7 +43,6 @@ var registry = map[string]func(io.Writer, exp.Scale){
 	"normdelay":   exp.AblationNormDelay,
 	"granularity": exp.AblationGranularity,
 	"memory":      exp.AppendixAMemory,
-	"cluster":     exp.ClusterThroughput,
 	"chaos":       exp.ChaosScenarios,
 	"table3":      exp.Table3SpecTrain,
 	"table4":      exp.Table4Overcompensation,
@@ -102,7 +101,7 @@ func main() {
 		order := []string{"fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
 			"fig8", "fig9", "fig10", "fig12", "fig13", "fig14", "fig16", "fig17",
 			"table1", "table2", "table3", "table4", "table6",
-			"warmup", "gradshrink", "adam", "asgd", "normdelay", "granularity", "memory", "cluster", "chaos"}
+			"warmup", "gradshrink", "adam", "asgd", "normdelay", "granularity", "memory", "chaos"}
 		for _, n := range order {
 			runOne(n)
 		}

@@ -1,6 +1,6 @@
-// Command loadgen drives cmd/serve and reports latency quantiles and
-// saturation throughput as a repro/bench/v1 artifact (BENCH_serve.json,
-// DESIGN.md §12).
+// Command loadgen drives a live cmd/serve socket and prints latency
+// quantiles and saturation throughput per load point (DESIGN.md §12). The
+// gated serving numbers come from the benchmark (go run ./benchmark).
 //
 // Two load models:
 //
@@ -22,13 +22,9 @@
 //	-sweep 1,2,4,8         closed-loop concurrency sweep
 //	-rate 0                open-loop request rate (0 = closed loop only)
 //	-dur 3s                open-loop duration
-//	-out BENCH_serve.json  artifact path ("" = report only)
 //	-wait 10s              readiness wait on /healthz
 //	-seed 1                input-generator seed
 //	-retry 0               503-retry budget per request (see below)
-//	-dtype ""              dtype the target server was started with (f64 or
-//	                       f32; stamps rows, and f32 rows use the serve-f32
-//	                       name family so both sweeps can share an artifact)
 //
 // With -retry n, a request rejected with 503 is retried up to n times: the
 // client sleeps for the server's Retry-After header (the serving tier derives
@@ -51,8 +47,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/benchfmt"
 )
 
 // runStats aggregates one load run.
@@ -82,17 +76,6 @@ func (r *runStats) throughput() float64 {
 		return 0
 	}
 	return float64(r.completed) / r.elapsed.Seconds()
-}
-
-func (r *runStats) meanNs() float64 {
-	if len(r.latencies) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, l := range r.latencies {
-		sum += l
-	}
-	return float64(sum) / float64(len(r.latencies))
 }
 
 // client issues predict requests with pre-generated random inputs.
@@ -288,28 +271,22 @@ func main() {
 	sweep := flag.String("sweep", "1,2,4,8", "closed-loop concurrency sweep")
 	rate := flag.Float64("rate", 0, "open-loop request rate per second (0 = closed loop only)")
 	dur := flag.Duration("dur", 3*time.Second, "open-loop duration")
-	out := flag.String("out", "BENCH_serve.json", "bench artifact path (empty = report only)")
 	wait := flag.Duration("wait", 10*time.Second, "readiness wait on /healthz")
 	seed := flag.Int64("seed", 1, "input-generator seed")
 	retry := flag.Int("retry", 0, "extra attempts after a 503 rejection (honors Retry-After, else capped exponential backoff)")
-	dtype := flag.String("dtype", "", "dtype the target server was started with (-dtype on cmd/serve); stamps rows and suffixes f32 row names")
 	flag.Parse()
 
 	if *retry < 0 {
 		fmt.Fprintln(os.Stderr, "loadgen: -retry must be ≥ 0")
 		os.Exit(1)
 	}
-	if *dtype != "" && *dtype != "f64" && *dtype != "f32" {
-		fmt.Fprintln(os.Stderr, "loadgen: -dtype must be f64 or f32")
-		os.Exit(1)
-	}
-	if err := run(*addr, *model, *sweep, *out, *dtype, *n, *retry, *rate, *dur, *wait, *seed); err != nil {
+	if err := run(*addr, *model, *sweep, *n, *retry, *rate, *dur, *wait, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, model, sweep, out, dtype string, n, retry int, rate float64, dur, wait time.Duration, seed int64) error {
+func run(addr, model, sweep string, n, retry int, rate float64, dur, wait time.Duration, seed int64) error {
 	c, err := newClient(addr, model, seed)
 	if err != nil {
 		return err
@@ -328,76 +305,30 @@ func run(addr, model, sweep, out, dtype string, n, retry int, rate float64, dur,
 		concs = append(concs, v)
 	}
 
-	// The serving dtype is a server-side property; the stamp records which
-	// path the measured server ran, and f32 rows get their own name family
-	// so both sweeps can share an artifact without colliding.
-	family := "serve"
-	if dtype == "f32" {
-		family = "serve-f32"
-	}
-	var results []benchfmt.Result
 	var failures int
 	saturation := 0.0
 	for _, conc := range concs {
 		st := closedLoop(c, n, conc)
 		failures += st.failed
-		if tp := st.throughput(); tp > saturation {
-			saturation = tp
-		}
-		r := benchfmt.Result{
-			Name:          fmt.Sprintf("%s/closed/c%d", family, conc),
-			DType:         dtype,
-			Workers:       conc,
-			Iters:         st.completed,
-			NsPerOp:       st.meanNs(),
-			SamplesPerSec: st.throughput(),
-			P50Ms:         st.quantile(0.50),
-			P99Ms:         st.quantile(0.99),
-		}
-		results = append(results, r)
-		fmt.Printf("%-18s %6d ok %3d fail  %8.1f req/s  p50 %7.3fms  p99 %7.3fms\n",
-			r.Name, st.completed, st.failed, r.SamplesPerSec, r.P50Ms, r.P99Ms)
+		saturation = max(saturation, st.throughput())
+		printPoint(fmt.Sprintf("closed/c%d", conc), st)
 	}
 	if saturation > 0 {
-		results = append(results, benchfmt.Result{
-			Name:          family + "/saturation",
-			DType:         dtype,
-			Workers:       concs[len(concs)-1],
-			Iters:         n * len(concs),
-			NsPerOp:       float64(time.Second) / saturation,
-			SamplesPerSec: saturation,
-		})
-		fmt.Printf("%-18s %33.1f req/s (max over sweep)\n", family+"/saturation", saturation)
+		fmt.Printf("%-18s %33.1f req/s (max over sweep)\n", "saturation", saturation)
 	}
-
 	if rate > 0 {
 		st := openLoop(c, rate, dur)
 		failures += st.failed
-		r := benchfmt.Result{
-			Name:          fmt.Sprintf("%s/open/r%d", family, int(rate)),
-			DType:         dtype,
-			Workers:       1,
-			Iters:         st.completed,
-			NsPerOp:       st.meanNs(),
-			SamplesPerSec: st.throughput(),
-			P50Ms:         st.quantile(0.50),
-			P99Ms:         st.quantile(0.99),
-		}
-		results = append(results, r)
-		fmt.Printf("%-18s %6d ok %3d fail  %8.1f req/s  p50 %7.3fms  p99 %7.3fms\n",
-			r.Name, st.completed, st.failed, r.SamplesPerSec, r.P50Ms, r.P99Ms)
-	}
-
-	if out != "" {
-		f := benchfmt.New(fmt.Sprintf("cmd/loadgen against cmd/serve (model=%s, n=%d per point)", model, n))
-		f.Current = results
-		if err := f.Write(out); err != nil {
-			return err
-		}
-		fmt.Println("loadgen: wrote", out)
+		printPoint(fmt.Sprintf("open/r%d", int(rate)), st)
 	}
 	if failures > 0 {
 		return fmt.Errorf("%d request(s) failed", failures)
 	}
 	return nil
+}
+
+// printPoint prints one load point's line.
+func printPoint(name string, st *runStats) {
+	fmt.Printf("%-18s %6d ok %3d fail  %8.1f req/s  p50 %7.3fms  p99 %7.3fms\n",
+		name, st.completed, st.failed, st.throughput(), st.quantile(0.50), st.quantile(0.99))
 }

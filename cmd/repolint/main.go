@@ -59,12 +59,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "repolint:", err)
 		os.Exit(2)
 	}
-	root, err := analysis.ModuleRoot()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "repolint:", err)
-		os.Exit(2)
-	}
-	diags := analysis.Run(fset, pkgs, root, analyzers)
+	diags := analysis.Run(fset, pkgs, analyzers)
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)

@@ -55,8 +55,8 @@ type modelSpec struct {
 	shape []int
 }
 
-// modelFor resolves the -model flag. The resnet spec matches cmd/bench's
-// model so benchmark checkpoints are directly servable.
+// modelFor resolves the -model flag. The resnet spec is the benchmark's
+// RN20-mini, so its checkpoints are directly servable.
 func modelFor(name string) (modelSpec, error) {
 	switch name {
 	case "resnet":

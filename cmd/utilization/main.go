@@ -1,23 +1,18 @@
 // Command utilization prints the fill-and-drain vs pipelined-backpropagation
 // utilization analysis (Fig. 2, Eq. 1) for arbitrary pipeline depths and
-// batch sizes, with optional schedule diagrams. With -measure it trains a
-// real pipeline on every engine (seq, lockstep, async) and reports measured
-// throughput and utilization instead of the analytic bounds.
+// batch sizes, with optional schedule diagrams. Measured engine throughput
+// and utilization live in the benchmark (go run ./benchmark).
 //
 // Usage:
 //
 //	utilization -stages 34 -batch 1
 //	utilization -diagram -stages 6 -batch 2
-//	utilization -measure
-//	utilization -measure -cluster   # replica-scaling table too
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 
-	"repro/internal/exp"
 	"repro/internal/metrics"
 	"repro/internal/schedviz"
 )
@@ -27,18 +22,7 @@ func main() {
 	batch := flag.Int("batch", 1, "update size N")
 	diagram := flag.Bool("diagram", false, "print schedule diagrams")
 	sweep := flag.Bool("sweep", false, "print the full sweep table")
-	measure := flag.Bool("measure", false, "measure real engine throughput and utilization")
-	cluster := flag.Bool("cluster", false, "with -measure: also measure replicated-pipeline (cluster) throughput per sync policy")
 	flag.Parse()
-
-	if *measure {
-		exp.EngineThroughput(os.Stdout, exp.Default)
-		if *cluster {
-			fmt.Println()
-			exp.ClusterThroughput(os.Stdout, exp.Default)
-		}
-		return
-	}
 
 	if *sweep {
 		rows := schedviz.UtilizationTable(

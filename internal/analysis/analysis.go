@@ -3,9 +3,9 @@
 // proves after the fact: fixed floating-point reduction order and no hidden
 // nondeterminism sources in the numeric and engine packages (determinism),
 // strict tensor.Arena Get/Put buffer ownership (arenaowner), ctx/stop-aware
-// channel operations in the engine goroutines (ctxselect), a closed budget
-// of goroutine-spawning sites (goroutinebudget), and well-formed committed
-// benchmark artifacts (benchschema). DESIGN.md §11 is the invariant catalog.
+// channel operations in the engine goroutines (ctxselect), and a closed
+// budget of goroutine-spawning sites (goroutinebudget). DESIGN.md §11 is the
+// invariant catalog.
 //
 // The suite is built on the stdlib go/ast + go/parser + go/types only — the
 // module is dependency-free and the build environment is offline — with a
@@ -62,9 +62,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(pos, fmt.Sprintf(format, args...))
 }
 
-// Analyzer is one rule of the suite. Exactly one of Run (per-package AST
-// analysis) or RunDir (per-directory artifact analysis, e.g. benchschema)
-// is set.
+// Analyzer is one rule of the suite: a per-package AST analysis.
 type Analyzer struct {
 	Name string
 	// Doc is the one-line invariant statement shown by `repolint -rules`.
@@ -74,8 +72,6 @@ type Analyzer struct {
 	// are handled by the harness instead (see InScope).
 	Scope func(pkgPath string) bool
 	Run   func(*Pass)
-	// RunDir analyzes non-Go artifacts in a package directory.
-	RunDir func(dir string, report func(file string, line int, msg string))
 }
 
 // testdataSeg is the marker path segment: a package under
@@ -109,7 +105,6 @@ func testdataRule(pkgPath string) (string, bool) {
 func Analyzers() []*Analyzer {
 	all := []*Analyzer{
 		ArenaOwner,
-		BenchSchema,
 		CtxSelect,
 		Determinism,
 		GoroutineBudget,

@@ -60,7 +60,7 @@ func parseWants(t *testing.T, dir string) []want {
 }
 
 // loadAndRun runs one rule over one package pattern.
-func loadAndRun(t *testing.T, rule, pattern, rootDir string) []Diagnostic {
+func loadAndRun(t *testing.T, rule, pattern string) []Diagnostic {
 	t.Helper()
 	a := ByName(rule)
 	if a == nil {
@@ -71,7 +71,7 @@ func loadAndRun(t *testing.T, rule, pattern, rootDir string) []Diagnostic {
 	if err != nil {
 		t.Fatalf("Load(%s): %v", pattern, err)
 	}
-	return Run(fset, pkgs, rootDir, []*Analyzer{a})
+	return Run(fset, pkgs, []*Analyzer{a})
 }
 
 // TestGolden checks every AST analyzer against its testdata package: the
@@ -80,7 +80,7 @@ func loadAndRun(t *testing.T, rule, pattern, rootDir string) []Diagnostic {
 func TestGolden(t *testing.T) {
 	for _, rule := range []string{"arenaowner", "ctxselect", "determinism", "goroutinebudget"} {
 		t.Run(rule, func(t *testing.T) {
-			diags := loadAndRun(t, rule, "repro/internal/analysis/testdata/"+rule, "")
+			diags := loadAndRun(t, rule, "repro/internal/analysis/testdata/"+rule)
 			wants := parseWants(t, filepath.Join("testdata", rule))
 
 			used := make([]bool, len(diags))
@@ -110,54 +110,6 @@ func TestGolden(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestGoldenBenchSchema checks the artifact analyzer against its testdata
-// directory: every known defect of BENCH_bad.json must be reported, and the
-// unknown-field file must fail strict decoding.
-func TestGoldenBenchSchema(t *testing.T) {
-	diags := loadAndRun(t, "benchschema", "repro/internal/analysis/testdata/benchschema", "")
-
-	wantSubstrings := []string{
-		`schema "repro/bench/v0"`,
-		"missing environment fields",
-		"gomaxprocs 0",
-		"zero generated timestamp",
-		"current[0]: empty name",
-		"workers 0",
-		"iters 0",
-		"ns_per_op 0",
-		"negative allocs_per_op",
-		"negative latency quantile",
-		"p50_ms 9.5 exceeds p99_ms 2",
-		`dtype "float32", want f32 or f64`,
-		"duplicate name",
-		"unknown field",
-	}
-	for _, sub := range wantSubstrings {
-		found := false
-		for _, d := range diags {
-			if strings.Contains(d.Message, sub) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("no diagnostic contains %q; got:\n%s", sub, diagList(diags))
-		}
-	}
-	for _, d := range diags {
-		base := filepath.Base(d.File)
-		if base != "BENCH_bad.json" && base != "BENCH_unknown.json" {
-			t.Errorf("diagnostic outside the bad artifacts: %s", d)
-		}
-		if strings.Contains(d.File, "BENCH_unknown") && !strings.Contains(d.Message, "unknown field") {
-			t.Errorf("BENCH_unknown.json should only fail strict decoding, got: %s", d.Message)
-		}
-	}
-	if len(diags) != len(wantSubstrings) {
-		t.Errorf("got %d diagnostics, want %d:\n%s", len(diags), len(wantSubstrings), diagList(diags))
 	}
 }
 

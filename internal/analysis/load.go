@@ -15,8 +15,7 @@ import (
 	"path/filepath"
 )
 
-// ModuleRoot returns the directory of the enclosing module — the home of
-// the committed BENCH_*.json artifacts that benchschema validates.
+// ModuleRoot returns the directory of the enclosing module.
 func ModuleRoot() (string, error) {
 	out, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
 	if err != nil {
@@ -28,7 +27,6 @@ func ModuleRoot() (string, error) {
 // Package is one loaded, parsed and type-checked target package.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
@@ -119,7 +117,6 @@ func Load(fset *token.FileSet, patterns []string) ([]*Package, error) {
 		}
 		pkgs = append(pkgs, &Package{
 			ImportPath: t.ImportPath,
-			Dir:        t.Dir,
 			Files:      files,
 			Types:      tp,
 			Info:       info,

@@ -7,44 +7,14 @@ import (
 
 // Run applies the enabled analyzers to the loaded packages and returns the
 // surviving (non-suppressed) diagnostics, sorted by position then rule.
-// Directory analyzers (benchschema) run once per distinct in-scope package
-// directory, plus rootDir when non-empty — the module root holds the
-// committed BENCH_*.json artifacts but no non-test Go files, so it never
-// appears as a package directory.
-func Run(fset *token.FileSet, pkgs []*Package, rootDir string, analyzers []*Analyzer) []Diagnostic {
+func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
 
-	dirSeen := map[string]bool{}
-	runDir := func(a *Analyzer, dir string) {
-		key := a.Name + "\x00" + dir
-		if dirSeen[key] {
-			return
-		}
-		dirSeen[key] = true
-		a.RunDir(dir, func(file string, line int, msg string) {
-			diags = append(diags, Diagnostic{
-				Rule: a.Name, File: file, Line: line, Col: 1,
-				Pos:     token.Position{Filename: file, Line: line, Column: 1},
-				Message: msg,
-			})
-		})
-	}
-	if rootDir != "" {
-		for _, a := range analyzers {
-			if a.RunDir != nil {
-				runDir(a, rootDir)
-			}
-		}
-	}
 	for _, pkg := range pkgs {
 		allows := collectAllows(fset, pkg.Files, report)
 		for _, a := range analyzers {
 			if !a.InScope(pkg.ImportPath) {
-				continue
-			}
-			if a.RunDir != nil {
-				runDir(a, pkg.Dir)
 				continue
 			}
 			rule := a.Name

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -70,8 +69,6 @@ type Report struct {
 	// bit-identical to the twin's (RunVerified).
 	ExactChecked   bool
 	RecoveredExact bool
-	// WallNs is the scenario's wall-clock duration (faulty run only).
-	WallNs int64
 	// FinalWeights snapshots the canonical replica's final weights for
 	// bit-exactness comparisons.
 	FinalWeights [][]float64
@@ -111,7 +108,6 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 		return nil, fmt.Errorf("chaos: %s: checkpointing scenario needs Runner.Dir", spec.Name)
 	}
 
-	start := time.Now()
 	rep := &Report{Name: spec.Name, Samples: spec.Samples * spec.Epochs}
 
 	var prod *obspkg.Producer
@@ -316,7 +312,6 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	rep.Syncs = stats.Syncs
 	rep.FinalLoss, rep.Accuracy = epochMean(spec.Epochs - 1)
 	rep.FinalWeights = cl.ReplicaNet(0).SnapshotWeights()
-	rep.WallNs = time.Since(start).Nanoseconds()
 	return rep, nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/benchfmt"
 	"repro/internal/chaos"
 	"repro/internal/data"
 	"repro/internal/metrics"
@@ -77,9 +76,7 @@ func chaosScenarios(samples int) []chaos.Spec {
 
 // ChaosScenarios runs the chaos/recovery scenario suite: deterministic
 // stochastic fault injection (internal/chaos) against the replicated
-// pipelines, proving crash recovery bit-exact where the engine permits, and
-// records per-scenario throughput and recovery-cost rows to
-// BENCH_chaos.json (schema repro/bench/v1).
+// pipelines, proving crash recovery bit-exact where the engine permits.
 func ChaosScenarios(w io.Writer, s Scale) {
 	// Chaos sample counts stay moderate even at the full scale: the suite's
 	// point is schedule coverage, not convergence.
@@ -98,7 +95,6 @@ func ChaosScenarios(w io.Writer, s Scale) {
 
 	fmt.Fprintf(w, "Chaos scenarios — %d samples/epoch, 2 epochs, DeepMLP 4 stages (scale=%s)\n", samples, s.Name)
 	tab := metrics.NewTable("SCENARIO", "R", "ENGINE/SYNC", "FAULTS", "RECOMPUTED", "UTIL", "LOSS", "BIT-EXACT")
-	bench := benchfmt.New("cmd/experiments -run chaos: per-scenario throughput and recovery cost")
 	for _, spec := range chaosScenarios(samples) {
 		r := &chaos.Runner{Spec: spec, Build: build, Data: trainSet, Dir: dir}
 		rep, err := r.RunVerified(context.Background())
@@ -116,34 +112,7 @@ func ChaosScenarios(w io.Writer, s Scale) {
 		if rep.ExactChecked {
 			fmt.Fprintf(w, "%s: recovered bit-exact: %v\n", spec.Name, rep.RecoveredExact)
 		}
-
-		done := rep.Samples + rep.Recomputed
-		nsPerSample := float64(rep.WallNs) / float64(done)
-		row := benchfmt.Result{
-			Name:          "chaos/" + spec.Name,
-			Workers:       1,
-			Replicas:      rep.Replicas,
-			Iters:         done,
-			NsPerOp:       nsPerSample,
-			SamplesPerSec: float64(done) / (float64(rep.WallNs) / 1e9),
-		}
-		bench.Current = append(bench.Current, row)
-		if rep.Crashes > 0 {
-			// Recovery cost: the samples recomputed after restore, priced at
-			// the run's own per-sample rate.
-			bench.Current = append(bench.Current, benchfmt.Result{
-				Name:     "chaos/" + spec.Name + "/recovery",
-				Workers:  1,
-				Replicas: rep.Replicas,
-				Iters:    rep.Recomputed,
-				NsPerOp:  nsPerSample,
-			})
-		}
 	}
 	fmt.Fprint(w, tab.String())
-	if err := bench.Write("BENCH_chaos.json"); err != nil {
-		panic(err)
-	}
-	fmt.Fprintln(w, "wrote BENCH_chaos.json")
-	fmt.Fprintln(w, "faults column: crashes/membership changes/failed saves; recovery rows in BENCH_chaos.json price the recomputed window")
+	fmt.Fprintln(w, "faults column: crashes/membership changes/failed saves")
 }

@@ -199,28 +199,6 @@ func TestRunMethodEngineSelection(t *testing.T) {
 	}
 }
 
-func TestEngineThroughput(t *testing.T) {
-	var b strings.Builder
-	EngineThroughput(&b, tiny)
-	out := b.String()
-	for _, want := range []string{"ENGINE", "seq", "lockstep", "async", "SAMPLES/SEC", "BOUND"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("EngineThroughput output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestClusterThroughput(t *testing.T) {
-	var b strings.Builder
-	ClusterThroughput(&b, tiny)
-	out := b.String()
-	for _, want := range []string{"REPLICAS", "SYNC", "SAMPLES/SEC", "none", "avg-every-64", "sync-grad"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("ClusterThroughput output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestRunMethodReplicated(t *testing.T) {
 	train, test, _ := cifarTask(tiny, 42)
 	build := func(seed int64) *nn.Network {

@@ -1,22 +1,17 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
-	"runtime"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/nn"
-	"repro/internal/obs"
 	"repro/internal/optim"
-	"repro/train"
 )
 
 // cifarTask builds the synthetic CIFAR-10 stand-in at this scale. The
@@ -148,123 +143,6 @@ func Table6LWPForms(w io.Writer, s Scale) {
 	all := CIFARFamilies(s, 10, false)
 	nets := []NamedNet{all[3], all[4]} // RN20, RN32
 	familyTable(w, "Table 6 — LWPv vs LWPw (both + SCD)", nets, methods, s, train, test, aug)
-}
-
-// EngineThroughput compares the pipelined-backpropagation runtimes on the
-// same workload and hyperparameters: the sequential reference ("seq"), the
-// barrier-per-half-step parallel engine ("lockstep") and the free-running
-// asynchronous engine ("async", bounded queues, no barrier). It reports
-// training throughput, each engine's utilization measure, and the maximum
-// observed gradient staleness against the analytic bound D_0 = 2(S−1) —
-// the async engine must stay within the bound (DESIGN.md, engine table).
-//
-// All numbers come off the metrics bus: each run attaches an obs.Aggregator
-// (train.WithObserver), streams live mid-epoch rate lines from windowed
-// snapshots, and fills the final table from the engine's drain summary —
-// the same KindEngineStats/KindStaleness stream /metrics serves, so the CLI
-// exercises the one accounting path instead of duplicating it.
-func EngineThroughput(w io.Writer, s Scale) {
-	trainSet, _, _ := cifarTask(s, 111)
-	build := func(seed int64) *nn.Network {
-		return models.ResNet(models.MiniResNet(20, s.Width, s.ImageSize, 10, seed))
-	}
-	stages := build(1).NumStages()
-	fmt.Fprintf(w, "Engine throughput — RN20-mini, %d stages, %d samples/epoch (scale=%s, GOMAXPROCS=%d)\n",
-		stages, trainSet.Len(), s.Name, runtime.GOMAXPROCS(0))
-	tab := metrics.NewTable("ENGINE", "SAMPLES/SEC", "UTILIZATION", "MAX STALENESS", "BOUND 2(S-1)")
-	for _, kind := range []string{"seq", "lockstep", "async"} {
-		bus := obs.NewBus()
-		agg := obs.NewAggregator(bus)
-		// Live feed: a windowed-rate line at each quarter of the epoch.
-		quarter := trainSet.Len() / 4
-		// Budget the machine's cores to each engine; the split between stage
-		// concurrency and intra-kernel workers is the engine's (DESIGN.md §9)
-		// and never changes results.
-		tr := train.New(build, train.WithEngine(kind), train.WithSeed(1),
-			train.WithKernelWorkers(runtime.GOMAXPROCS(0)),
-			train.WithObserver(bus),
-			train.OnSampleDone(func(ev train.SampleEvent) {
-				if quarter > 0 && ev.Completed%quarter == 0 {
-					snap := agg.Snapshot()
-					fmt.Fprintf(w, "  %-14s %5d samples  %8.0f samples/sec (live)\n",
-						kind, ev.Completed, snap.SamplesPerSec)
-				}
-			}))
-		if _, err := tr.Fit(context.Background(), trainSet, nil, 1); err != nil {
-			panic(err)
-		}
-		snap := waitEngineStats(agg)
-		var maxStale int64
-		if n := len(snap.StalenessHist); n > 0 {
-			maxStale = snap.StalenessHist[n-1].Delay
-		}
-		tab.AddRow(kind,
-			fmt.Sprintf("%.0f", snap.LifetimeRate),
-			fmt.Sprintf("%.3f", snap.EngineUtilization),
-			maxStale, 2*(stages-1))
-		tr.Close()
-		agg.Close()
-		bus.Close()
-	}
-	fmt.Fprint(w, tab.String())
-	fmt.Fprintln(w, "utilization: seq/lockstep count full worker-steps; async measures busy time on the available cores")
-}
-
-// waitEngineStats polls the aggregator until the engine's drain summary has
-// fanned out (the bus pump is asynchronous), bounded at five seconds.
-func waitEngineStats(agg *obs.Aggregator) obs.Snapshot {
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		snap := agg.Snapshot()
-		if snap.HasEngineStats || time.Now().After(deadline) {
-			return snap
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// ClusterThroughput measures the replicated-pipeline scaling axis: RN20-mini
-// async replicas at R ∈ {1, 2, 4} under a fixed total kernel-worker budget
-// (GOMAXPROCS), for each sync policy shipped by internal/sync. On a single
-// core the replicas time-slice and samples/sec flatlines (the replication
-// overhead is the interesting number there); with R ≤ cores the free-running
-// replicas scale near-linearly until the budget is exhausted. The cluster's
-// weight-sync count and the staleness bound are reported alongside.
-func ClusterThroughput(w io.Writer, s Scale) {
-	trainSet, _, _ := cifarTask(s, 121)
-	build := func(seed int64) *nn.Network {
-		return models.ResNet(models.MiniResNet(20, s.Width, s.ImageSize, 10, seed))
-	}
-	stages := build(1).NumStages()
-	budget := runtime.GOMAXPROCS(0)
-	fmt.Fprintf(w, "Cluster throughput — RN20-mini, %d stages, %d samples/epoch, %d total kernel workers (scale=%s)\n",
-		stages, trainSet.Len(), budget, s.Name)
-	tab := metrics.NewTable("REPLICAS", "SYNC", "SAMPLES/SEC", "SYNCS", "MAX STALENESS")
-	for _, spec := range []struct {
-		r    int
-		sync string
-	}{
-		{1, "none"}, {2, "none"}, {4, "none"},
-		{2, "avg-every-64"}, {2, "sync-grad"},
-	} {
-		engine := "async"
-		if spec.sync == "sync-grad" {
-			engine = "seq" // gradient averaging needs a stepped engine
-		}
-		tr := train.New(build, train.WithEngine(engine), train.WithSeed(1),
-			train.WithKernelWorkers(budget),
-			train.WithReplicas(spec.r, spec.sync))
-		rep, err := tr.Fit(context.Background(), trainSet, nil, 1)
-		if err != nil {
-			panic(err)
-		}
-		tab.AddRow(spec.r, spec.sync,
-			fmt.Sprintf("%.0f", float64(rep.Samples)/rep.TrainDuration.Seconds()),
-			rep.Syncs, rep.MaxStaleness)
-		tr.Close()
-	}
-	fmt.Fprint(w, tab.String())
-	fmt.Fprintln(w, "replicas shard the stream round-robin (data.Shard); the worker budget splits across replicas first, stages second")
 }
 
 // Fig16EngineValidation reproduces the GProp validation of Fig. 16: batch

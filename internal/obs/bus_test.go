@@ -66,6 +66,24 @@ func TestBusEmitUnsubscribedIsNoOp(t *testing.T) {
 	}
 }
 
+// TestEmitNeverAllocates pins Producer.Emit's "never allocates" contract on
+// both sides of the subscriber gate: the one-atomic-load fast path, and the
+// ring push plus ping (and the pump's fan-out) once a subscriber is attached.
+func TestEmitNeverAllocates(t *testing.T) {
+	b := NewBus()
+	defer b.Close()
+	p := b.Producer(64)
+	emit := func() { p.Emit(Event{Kind: KindSampleDone, Count: 1}) }
+	if n := testing.AllocsPerRun(1000, emit); n != 0 {
+		t.Errorf("Emit with no subscriber: %v allocs, want 0", n)
+	}
+	sub := b.Subscribe(64)
+	defer sub.Close()
+	if n := testing.AllocsPerRun(1000, emit); n != 0 {
+		t.Errorf("Emit with one subscriber: %v allocs, want 0", n)
+	}
+}
+
 func TestNilProducerEmit(t *testing.T) {
 	var p *Producer
 	p.Emit(Event{Kind: KindLatency}) // must not panic

@@ -1,8 +1,8 @@
 // Package obs is the streaming-observability substrate: a lock-free,
 // bounded, drop-oldest pub/sub metrics bus carrying typed events from the
 // training/inference hot paths to any number of subscribers — the /metrics
-// snapshot endpoint, the /events SSE stream, cmd/utilization's live display
-// and the tests are all just subscribers (DESIGN.md §13).
+// snapshot endpoint, the /events SSE stream, the benchmark's traced pass and
+// the tests are all just subscribers (DESIGN.md §13).
 //
 // The design constraints come from the engines:
 //
@@ -11,8 +11,7 @@
 //     the producer's time.
 //   - With a bus attached but nobody subscribed, the publish cost must be
 //     ~zero: one nil check plus one atomic load (the subscriber gate), no
-//     ring traffic, no allocation. The bus-overhead benchmark guard in
-//     BENCH_engines.json pins this.
+//     ring traffic, no allocation. TestEmitNeverAllocates pins this.
 //   - Events never feed back into the training math, so a bus-enabled run is
 //     bit-identical to a bus-disabled one (proven by
 //     core.TestObsDoesNotPerturbTraining).

@@ -54,7 +54,7 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 	g := New()
 	cfg := g.Add(KindConfig, "train", map[string]string{"lr": "0.01"})
 	ck := g.Add(KindCheckpoint, "weights.ckpt", map[string]string{"sha256": h, "epoch": "1"}, cfg)
-	g.Add(KindArtifact, "BENCH_engines.json", map[string]string{"schema": "repro/bench/v1"}, ck)
+	g.Add(KindArtifact, "run1.json", map[string]string{"schema": "repro/benchmark/v1"}, ck)
 
 	path := filepath.Join(dir, "LINEAGE_run.json")
 	if err := g.Write(path); err != nil {

@@ -113,7 +113,7 @@ func BenchmarkConvFusedForwardBackward(b *testing.B) {
 	Normal(w, 1, rng)
 	ar := NewArena()
 	dw := New(8, 8, 3, 3)
-	var p *Parallel // serial blocked path; cmd/bench covers worker groups
+	var p *Parallel // serial blocked path
 	// Carry the cols slice across iterations: a nil colsBuf makes ConvForward
 	// grow a fresh 1-element slice every pass — the stray 1 alloc/op the
 	// kernel bench rows used to show.
