@@ -39,23 +39,36 @@ func (d *Dense) Forward(x *tensor.Tensor, ar *tensor.Arena, par *tensor.Parallel
 	par.MatMulTransBInto(y, x, d.Weight.W) // [N,In]·[Out,In]ᵀ = [N,Out]
 	if d.Bias != nil {
 		if x.DType() == tensor.F32 {
-			yd, bd := y.Data32(), d.Bias.W.Data32()
-			for s := 0; s < n; s++ {
-				row := yd[s*d.Out : (s+1)*d.Out]
-				for j := 0; j < d.Out; j++ {
-					row[j] += bd[j]
-				}
-			}
+			addToRows(y.Data32(), d.Bias.W.Data32(), n)
 		} else {
-			for s := 0; s < n; s++ {
-				row := y.Data[s*d.Out : (s+1)*d.Out]
-				for j := 0; j < d.Out; j++ {
-					row[j] += d.Bias.W.Data[j]
-				}
-			}
+			addToRows(y.Data, d.Bias.W.Data, n)
 		}
 	}
 	return y, x
+}
+
+// addToRows adds b to each of the n rows of y ([n, len(b)]) — the bias of a
+// dense forward.
+func addToRows[T tensor.Elem](y, b []T, n int) {
+	out := len(b)
+	for s := 0; s < n; s++ {
+		row := y[s*out : (s+1)*out]
+		for j := range row {
+			row[j] += b[j]
+		}
+	}
+}
+
+// sumRowsInto adds each of the n rows of dy ([n, len(g)]) into g, in row
+// order — the bias gradient of a dense backward.
+func sumRowsInto[T tensor.Elem](g, dy []T, n int) {
+	out := len(g)
+	for s := 0; s < n; s++ {
+		row := dy[s*out : (s+1)*out]
+		for j := range g {
+			g[j] += row[j]
+		}
+	}
 }
 
 // Backward implements Layer.
@@ -64,22 +77,10 @@ func (d *Dense) Backward(dy *tensor.Tensor, ctx any, ar *tensor.Arena, par *tens
 	// dW += dyᵀ·x → [Out, In], accumulated directly into the gradient.
 	par.MatMulTransAAccInto(d.Weight.G, dy, x)
 	if d.Bias != nil {
-		n := dy.Shape[0]
 		if dy.DType() == tensor.F32 {
-			dyd, gd := dy.Data32(), d.Bias.G.Data32()
-			for s := 0; s < n; s++ {
-				row := dyd[s*d.Out : (s+1)*d.Out]
-				for j := 0; j < d.Out; j++ {
-					gd[j] += row[j]
-				}
-			}
+			sumRowsInto(d.Bias.G.Data32(), dy.Data32(), dy.Shape[0])
 		} else {
-			for s := 0; s < n; s++ {
-				row := dy.Data[s*d.Out : (s+1)*d.Out]
-				for j := 0; j < d.Out; j++ {
-					d.Bias.G.Data[j] += row[j]
-				}
-			}
+			sumRowsInto(d.Bias.G.Data, dy.Data, dy.Shape[0])
 		}
 	}
 	// dx = dy·W → [N, In]

@@ -45,22 +45,9 @@ func (ReLU) Name() string { return "relu" }
 func (ReLU) Forward(x *tensor.Tensor, ar *tensor.Arena, par *tensor.Parallel) (*tensor.Tensor, any) {
 	y := ar.GetDT(x.DType(), x.Shape...)
 	if x.DType() == tensor.F32 {
-		yd := y.Data32()
-		for i, v := range x.Data32() {
-			if v > 0 {
-				yd[i] = v
-			} else {
-				yd[i] = 0
-			}
-		}
-		return y, x
-	}
-	for i, v := range x.Data {
-		if v > 0 {
-			y.Data[i] = v
-		} else {
-			y.Data[i] = 0
-		}
+		relu(y.Data32(), x.Data32(), x.Data32())
+	} else {
+		relu(y.Data, x.Data, x.Data)
 	}
 	return y, x
 }
@@ -70,26 +57,24 @@ func (ReLU) Backward(dy *tensor.Tensor, ctx any, ar *tensor.Arena, par *tensor.P
 	x := ctx.(*tensor.Tensor)
 	dx := ar.GetDT(dy.DType(), dy.Shape...)
 	if dy.DType() == tensor.F32 {
-		xd, dxd := x.Data32(), dx.Data32()
-		for i, v := range dy.Data32() {
-			if xd[i] > 0 {
-				dxd[i] = v
-			} else {
-				dxd[i] = 0
-			}
-		}
-		ar.Put(dy, x)
-		return dx
-	}
-	for i, v := range dy.Data {
-		if x.Data[i] > 0 {
-			dx.Data[i] = v
-		} else {
-			dx.Data[i] = 0
-		}
+		relu(dx.Data32(), dy.Data32(), x.Data32())
+	} else {
+		relu(dx.Data, dy.Data, x.Data)
 	}
 	ar.Put(dy, x)
 	return dx
+}
+
+// relu writes src[i] where mask[i] > 0 and 0 elsewhere: the activation with
+// mask = src, its gradient with mask = the forward input.
+func relu[T tensor.Elem](dst, src, mask []T) {
+	for i, v := range src {
+		if mask[i] > 0 {
+			dst[i] = v
+		} else {
+			dst[i] = 0
+		}
+	}
 }
 
 // ReleaseCtx implements Layer.

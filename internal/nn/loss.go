@@ -28,42 +28,20 @@ func (SoftmaxCrossEntropy) LossInto(dl, logits *tensor.Tensor, labels []int) flo
 	if dl.Size() != n*k {
 		panic("nn: SoftmaxCrossEntropy gradient size mismatch")
 	}
-	if logits.DType() == tensor.F32 {
-		return lossInto32(dl, logits, labels, n, k)
-	}
-	total := 0.0
-	for s := 0; s < n; s++ {
-		row := logits.Data[s*k : (s+1)*k]
-		maxv := row[0]
-		for _, v := range row {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		sum := 0.0
-		for _, v := range row {
-			sum += math.Exp(v - maxv)
-		}
-		logSum := math.Log(sum) + maxv
-		total += logSum - row[labels[s]]
-		for j := 0; j < k; j++ {
-			p := math.Exp(row[j]-maxv) / sum
-			dl.Data[s*k+j] = p / float64(n)
-		}
-		dl.Data[s*k+labels[s]] -= 1.0 / float64(n)
-	}
-	return total / float64(n)
-}
-
-// lossInto32 is the float32 loss head. The softmax itself — exp, log, the
-// probability normalization — runs in float64 on cast logits (the transcendental
-// chain is where f32 error compounds); only the stored gradient rounds to
-// float32. dl must be f32 of the logits' shape.
-func lossInto32(dl, logits *tensor.Tensor, labels []int, n, k int) float64 {
-	if dl.DType() != tensor.F32 {
+	if dl.DType() != logits.DType() {
 		panic("nn: SoftmaxCrossEntropy gradient dtype mismatch")
 	}
-	ld, dld := logits.Data32(), dl.Data32()
+	if logits.DType() == tensor.F32 {
+		return lossInto(dl.Data32(), logits.Data32(), labels, n, k)
+	}
+	return lossInto(dl.Data, logits.Data, labels, n, k)
+}
+
+// lossInto is LossInto over raw storage. The softmax itself — exp, log, the
+// probability normalization — runs in float64 at both dtypes (at f32 the
+// transcendental chain is where error would compound); only the stored
+// gradient rounds to T.
+func lossInto[T tensor.Elem](dld, ld []T, labels []int, n, k int) float64 {
 	total := 0.0
 	for s := 0; s < n; s++ {
 		row := ld[s*k : (s+1)*k]
@@ -81,9 +59,9 @@ func lossInto32(dl, logits *tensor.Tensor, labels []int, n, k int) float64 {
 		total += logSum - float64(row[labels[s]])
 		for j := 0; j < k; j++ {
 			p := math.Exp(float64(row[j])-maxv) / sum
-			dld[s*k+j] = float32(p / float64(n))
+			dld[s*k+j] = T(p / float64(n))
 		}
-		dld[s*k+labels[s]] -= float32(1.0 / float64(n))
+		dld[s*k+labels[s]] -= T(1.0 / float64(n))
 	}
 	return total / float64(n)
 }

@@ -64,42 +64,58 @@ func (g *GroupNorm) Forward(x *tensor.Tensor, ar *tensor.Arena, par *tensor.Para
 		panic(fmt.Sprintf("nn: groupnorm %s input %v, want [N,%d,H,W]", g.nameText, x.Shape, g.C))
 	}
 	if x.DType() == tensor.F32 {
-		return g.forward32(x, ar)
+		return groupNormForward[float32](g, x, ar)
 	}
+	return groupNormForward[float64](g, x, ar)
+}
+
+// meanInvStd returns the mean of seg and 1/sqrt(var+eps), accumulated in
+// float64 at both dtypes: the reductions span up to cg·H·W elements and are
+// the numerically fragile part of a normalizer (DESIGN.md §15).
+func meanInvStd[T tensor.Elem](seg []T) (mu, invStd float64) {
+	for _, v := range seg {
+		mu += float64(v)
+	}
+	mu /= float64(len(seg))
+	va := 0.0
+	for _, v := range seg {
+		d := float64(v) - mu
+		va += d * d
+	}
+	va /= float64(len(seg))
+	return mu, 1.0 / math.Sqrt(va+normEps)
+}
+
+// groupNormForward is GroupNorm.Forward at T. Statistics come from
+// meanInvStd; the per-element normalize/scale work and the stored xhat stay
+// in T, and invStd is kept at float64 in the context.
+func groupNormForward[T tensor.Elem](g *GroupNorm, x *tensor.Tensor, ar *tensor.Arena) (*tensor.Tensor, any) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	cg := c / g.Groups
 	m := cg * h * w
-	y := ar.Get(x.Shape...)
+	y := ar.GetDT(x.DType(), x.Shape...)
 	cc := popCtx(ar, &g.ctxFree)
 	if cc == nil {
 		cc = &groupNormCtx{}
 	}
-	cc.xhat = ar.Get(x.Shape...)
+	cc.xhat = ar.GetDT(x.DType(), x.Shape...)
 	cc.invStd = resize(cc.invStd, n*g.Groups)
 	cc.xShape = resize(cc.xShape, 4)
 	copy(cc.xShape, x.Shape)
+	xd, yd, xhd := tensor.DataOf[T](x), tensor.DataOf[T](y), tensor.DataOf[T](cc.xhat)
+	gw, bw := tensor.DataOf[T](g.Gamma.W), tensor.DataOf[T](g.Beta.W)
 	for s := 0; s < n; s++ {
 		for gr := 0; gr < g.Groups; gr++ {
 			base := (s*c + gr*cg) * h * w
-			seg := x.Data[base : base+m]
-			mu := 0.0
-			for _, v := range seg {
-				mu += v
-			}
-			mu /= float64(m)
-			va := 0.0
-			for _, v := range seg {
-				d := v - mu
-				va += d * d
-			}
-			va /= float64(m)
-			is := 1.0 / math.Sqrt(va+normEps)
+			seg := xd[base : base+m]
+			mu, is := meanInvStd(seg)
 			cc.invStd[s*g.Groups+gr] = is
+			muT, isT := T(mu), T(is)
 			for i, v := range seg {
-				xh := (v - mu) * is
-				cc.xhat.Data[base+i] = xh
+				xh := (v - muT) * isT
+				xhd[base+i] = xh
 				ch := gr*cg + i/(h*w)
-				y.Data[base+i] = g.Gamma.W.Data[ch]*xh + g.Beta.W.Data[ch]
+				yd[base+i] = gw[ch]*xh + bw[ch]
 			}
 		}
 	}
@@ -110,13 +126,30 @@ func (g *GroupNorm) Forward(x *tensor.Tensor, ar *tensor.Arena, par *tensor.Para
 // Backward implements Layer.
 func (g *GroupNorm) Backward(dy *tensor.Tensor, ctx any, ar *tensor.Arena, par *tensor.Parallel) *tensor.Tensor {
 	cc := ctx.(*groupNormCtx)
+	var dx *tensor.Tensor
 	if dy.DType() == tensor.F32 {
-		return g.backward32(dy, cc, ar)
+		dx = groupNormBackward[float32](g, dy, cc, ar)
+	} else {
+		dx = groupNormBackward[float64](g, dy, cc, ar)
 	}
+	ar.Put(dy, cc.xhat)
+	if ar != nil {
+		cc.xhat = nil
+		g.ctxFree = append(g.ctxFree, cc)
+	}
+	return dx
+}
+
+// groupNormBackward is GroupNorm.Backward at T: parameter gradients and the
+// element-wise terms in T, the two group means accumulated in float64.
+func groupNormBackward[T tensor.Elem](g *GroupNorm, dy *tensor.Tensor, cc *groupNormCtx, ar *tensor.Arena) *tensor.Tensor {
 	n, c, h, w := cc.xShape[0], cc.xShape[1], cc.xShape[2], cc.xShape[3]
 	cg := c / g.Groups
 	m := cg * h * w
-	dx := ar.Get(cc.xShape...)
+	dx := ar.GetDT(dy.DType(), cc.xShape...)
+	dyd, xhd, dxd := tensor.DataOf[T](dy), tensor.DataOf[T](cc.xhat), tensor.DataOf[T](dx)
+	gw := tensor.DataOf[T](g.Gamma.W)
+	gg, bg := tensor.DataOf[T](g.Gamma.G), tensor.DataOf[T](g.Beta.G)
 	for s := 0; s < n; s++ {
 		for gr := 0; gr < g.Groups; gr++ {
 			base := (s*c + gr*cg) * h * w
@@ -124,29 +157,24 @@ func (g *GroupNorm) Backward(dy *tensor.Tensor, ctx any, ar *tensor.Arena, par *
 			sumDxh, sumDxhXh := 0.0, 0.0
 			for i := 0; i < m; i++ {
 				ch := gr*cg + i/(h*w)
-				d := dy.Data[base+i]
-				xh := cc.xhat.Data[base+i]
-				g.Gamma.G.Data[ch] += d * xh
-				g.Beta.G.Data[ch] += d
-				dxh := d * g.Gamma.W.Data[ch]
-				sumDxh += dxh
-				sumDxhXh += dxh * xh
+				d := dyd[base+i]
+				xh := xhd[base+i]
+				gg[ch] += d * xh
+				bg[ch] += d
+				dxh := d * gw[ch]
+				sumDxh += float64(dxh)
+				sumDxhXh += float64(dxh) * float64(xh)
 			}
-			meanDxh := sumDxh / float64(m)
-			meanDxhXh := sumDxhXh / float64(m)
-			is := cc.invStd[s*g.Groups+gr]
+			meanDxh := T(sumDxh / float64(m))
+			meanDxhXh := T(sumDxhXh / float64(m))
+			is := T(cc.invStd[s*g.Groups+gr])
 			for i := 0; i < m; i++ {
 				ch := gr*cg + i/(h*w)
-				dxh := dy.Data[base+i] * g.Gamma.W.Data[ch]
-				xh := cc.xhat.Data[base+i]
-				dx.Data[base+i] = is * (dxh - meanDxh - xh*meanDxhXh)
+				dxh := dyd[base+i] * gw[ch]
+				xh := xhd[base+i]
+				dxd[base+i] = is * (dxh - meanDxh - xh*meanDxhXh)
 			}
 		}
-	}
-	ar.Put(dy, cc.xhat)
-	if ar != nil {
-		cc.xhat = nil
-		g.ctxFree = append(g.ctxFree, cc)
 	}
 	return dx
 }
@@ -198,35 +226,33 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, ar *tensor.Arena, par *tensor.Para
 		panic(fmt.Sprintf("nn: layernorm %s input %v, want [N,%d]", l.nameText, x.Shape, l.F))
 	}
 	if x.DType() == tensor.F32 {
-		return l.forward32(x, ar)
+		return layerNormForward[float32](l, x, ar)
 	}
+	return layerNormForward[float64](l, x, ar)
+}
+
+// layerNormForward is LayerNorm.Forward at T, with groupNormForward's
+// precision split.
+func layerNormForward[T tensor.Elem](l *LayerNorm, x *tensor.Tensor, ar *tensor.Arena) (*tensor.Tensor, any) {
 	n, f := x.Shape[0], x.Shape[1]
-	y := ar.Get(n, f)
+	y := ar.GetDT(x.DType(), n, f)
 	cc := popCtx(ar, &l.ctxFree)
 	if cc == nil {
 		cc = &layerNormCtx{}
 	}
-	cc.xhat = ar.Get(n, f)
+	cc.xhat = ar.GetDT(x.DType(), n, f)
 	cc.invStd = resize(cc.invStd, n)
+	xd, yd, xhd := tensor.DataOf[T](x), tensor.DataOf[T](y), tensor.DataOf[T](cc.xhat)
+	gw, bw := tensor.DataOf[T](l.Gamma.W), tensor.DataOf[T](l.Beta.W)
 	for s := 0; s < n; s++ {
-		seg := x.Data[s*f : (s+1)*f]
-		mu := 0.0
-		for _, v := range seg {
-			mu += v
-		}
-		mu /= float64(f)
-		va := 0.0
-		for _, v := range seg {
-			d := v - mu
-			va += d * d
-		}
-		va /= float64(f)
-		is := 1.0 / math.Sqrt(va+normEps)
+		seg := xd[s*f : (s+1)*f]
+		mu, is := meanInvStd(seg)
 		cc.invStd[s] = is
+		muT, isT := T(mu), T(is)
 		for i, v := range seg {
-			xh := (v - mu) * is
-			cc.xhat.Data[s*f+i] = xh
-			y.Data[s*f+i] = l.Gamma.W.Data[i]*xh + l.Beta.W.Data[i]
+			xh := (v - muT) * isT
+			xhd[s*f+i] = xh
+			yd[s*f+i] = gw[i]*xh + bw[i]
 		}
 	}
 	ar.Put(x)
@@ -236,34 +262,47 @@ func (l *LayerNorm) Forward(x *tensor.Tensor, ar *tensor.Arena, par *tensor.Para
 // Backward implements Layer.
 func (l *LayerNorm) Backward(dy *tensor.Tensor, ctx any, ar *tensor.Arena, par *tensor.Parallel) *tensor.Tensor {
 	cc := ctx.(*layerNormCtx)
+	var dx *tensor.Tensor
 	if dy.DType() == tensor.F32 {
-		return l.backward32(dy, cc, ar)
-	}
-	n, f := dy.Shape[0], dy.Shape[1]
-	dx := ar.Get(n, f)
-	for s := 0; s < n; s++ {
-		sumDxh, sumDxhXh := 0.0, 0.0
-		for i := 0; i < f; i++ {
-			d := dy.Data[s*f+i]
-			xh := cc.xhat.Data[s*f+i]
-			l.Gamma.G.Data[i] += d * xh
-			l.Beta.G.Data[i] += d
-			dxh := d * l.Gamma.W.Data[i]
-			sumDxh += dxh
-			sumDxhXh += dxh * xh
-		}
-		meanDxh := sumDxh / float64(f)
-		meanDxhXh := sumDxhXh / float64(f)
-		for i := 0; i < f; i++ {
-			dxh := dy.Data[s*f+i] * l.Gamma.W.Data[i]
-			xh := cc.xhat.Data[s*f+i]
-			dx.Data[s*f+i] = cc.invStd[s] * (dxh - meanDxh - xh*meanDxhXh)
-		}
+		dx = layerNormBackward[float32](l, dy, cc, ar)
+	} else {
+		dx = layerNormBackward[float64](l, dy, cc, ar)
 	}
 	ar.Put(dy, cc.xhat)
 	if ar != nil {
 		cc.xhat = nil
 		l.ctxFree = append(l.ctxFree, cc)
+	}
+	return dx
+}
+
+// layerNormBackward is LayerNorm.Backward at T, with groupNormBackward's
+// precision split.
+func layerNormBackward[T tensor.Elem](l *LayerNorm, dy *tensor.Tensor, cc *layerNormCtx, ar *tensor.Arena) *tensor.Tensor {
+	n, f := dy.Shape[0], dy.Shape[1]
+	dx := ar.GetDT(dy.DType(), n, f)
+	dyd, xhd, dxd := tensor.DataOf[T](dy), tensor.DataOf[T](cc.xhat), tensor.DataOf[T](dx)
+	gw := tensor.DataOf[T](l.Gamma.W)
+	gg, bg := tensor.DataOf[T](l.Gamma.G), tensor.DataOf[T](l.Beta.G)
+	for s := 0; s < n; s++ {
+		sumDxh, sumDxhXh := 0.0, 0.0
+		for i := 0; i < f; i++ {
+			d := dyd[s*f+i]
+			xh := xhd[s*f+i]
+			gg[i] += d * xh
+			bg[i] += d
+			dxh := d * gw[i]
+			sumDxh += float64(dxh)
+			sumDxhXh += float64(dxh) * float64(xh)
+		}
+		meanDxh := T(sumDxh / float64(f))
+		meanDxhXh := T(sumDxhXh / float64(f))
+		is := T(cc.invStd[s])
+		for i := 0; i < f; i++ {
+			dxh := dyd[s*f+i] * gw[i]
+			xh := xhd[s*f+i]
+			dxd[s*f+i] = is * (dxh - meanDxh - xh*meanDxhXh)
+		}
 	}
 	return dx
 }

@@ -172,17 +172,21 @@ func (d DownsampleShortcut) Apply(x *tensor.Tensor, ar *tensor.Arena) *tensor.Te
 	}
 	y := ar.GetZeroedDT(x.DType(), n, d.OutC, oh, ow)
 	if x.DType() == tensor.F32 {
-		yd, pd := y.Data32(), p.Data32()
-		for s := 0; s < n; s++ {
-			copy(yd[s*d.OutC*oh*ow:s*d.OutC*oh*ow+c*oh*ow], pd[s*c*oh*ow:(s+1)*c*oh*ow])
-		}
+		copyBlocks(y.Data32(), p.Data32(), n, d.OutC*oh*ow, c*oh*ow, c*oh*ow)
 	} else {
-		for s := 0; s < n; s++ {
-			copy(y.Data[s*d.OutC*oh*ow:s*d.OutC*oh*ow+c*oh*ow], p.Data[s*c*oh*ow:(s+1)*c*oh*ow])
-		}
+		copyBlocks(y.Data, p.Data, n, d.OutC*oh*ow, c*oh*ow, c*oh*ow)
 	}
 	ar.Put(p)
 	return y
+}
+
+// copyBlocks copies the leading size elements of each of n per-sample
+// blocks of src (block stride srcStride) into the matching blocks of dst
+// (stride dstStride) — the channel pad and strip of DownsampleShortcut.
+func copyBlocks[T tensor.Elem](dst, src []T, n, dstStride, srcStride, size int) {
+	for s := 0; s < n; s++ {
+		copy(dst[s*dstStride:s*dstStride+size], src[s*srcStride:s*srcStride+size])
+	}
 }
 
 // Grad implements Shortcut.
@@ -192,14 +196,9 @@ func (d DownsampleShortcut) Grad(dy *tensor.Tensor, xShape []int, ar *tensor.Are
 	// Strip the zero-padded channels, then run the pooling adjoint.
 	dp := ar.GetDT(dy.DType(), n, c, oh, ow)
 	if dy.DType() == tensor.F32 {
-		dpd, dyd := dp.Data32(), dy.Data32()
-		for s := 0; s < n; s++ {
-			copy(dpd[s*c*oh*ow:(s+1)*c*oh*ow], dyd[s*d.OutC*oh*ow:s*d.OutC*oh*ow+c*oh*ow])
-		}
+		copyBlocks(dp.Data32(), dy.Data32(), n, c*oh*ow, d.OutC*oh*ow, c*oh*ow)
 	} else {
-		for s := 0; s < n; s++ {
-			copy(dp.Data[s*c*oh*ow:(s+1)*c*oh*ow], dy.Data[s*d.OutC*oh*ow:s*d.OutC*oh*ow+c*oh*ow])
-		}
+		copyBlocks(dp.Data, dy.Data, n, c*oh*ow, d.OutC*oh*ow, c*oh*ow)
 	}
 	dx := ar.GetDT(dy.DType(), xShape...)
 	tensor.AvgPool2DBackwardInto(dx, dp, 2)
@@ -309,14 +308,9 @@ func (s *AddSkip) Forward(p *Packet, ar *tensor.Arena, par *tensor.Parallel) (*P
 	}
 	y := ar.GetDT(p.X.DType(), p.X.Shape...)
 	if p.X.DType() == tensor.F32 {
-		yd, td := y.Data32(), top.Data32()
-		for i, v := range p.X.Data32() {
-			yd[i] = v + td[i]
-		}
+		addInto(y.Data32(), p.X.Data32(), top.Data32())
 	} else {
-		for i, v := range p.X.Data {
-			y.Data[i] = v + top.Data[i]
-		}
+		addInto(y.Data, p.X.Data, top.Data)
 	}
 	ar.Put(p.X, top)
 	if ar != nil {
@@ -325,6 +319,13 @@ func (s *AddSkip) Forward(p *Packet, ar *tensor.Arena, par *tensor.Parallel) (*P
 		return p, nil
 	}
 	return &Packet{X: y, Skips: p.Skips[:len(p.Skips)-1]}, nil
+}
+
+// addInto writes a + b into dst element-wise.
+func addInto[T tensor.Elem](dst, a, b []T) {
+	for i, v := range a {
+		dst[i] = v + b[i]
+	}
 }
 
 // Backward implements Stage: the gradient flows to both branches.

@@ -166,7 +166,7 @@ func (o *Momentum) Step(params []*nn.Param) {
 			if o.TrackPrev {
 				panic("optim: TrackPrev (weight prediction) is f64-only; f32 training excludes delay mitigations")
 			}
-			o.step32(p, v)
+			step(o, p.W.Data32(), p.G.Data32(), v)
 			continue
 		}
 		if o.TrackPrev {
@@ -177,32 +177,23 @@ func (o *Momentum) Step(params []*nn.Param) {
 			}
 			copy(prev, p.W.Data)
 		}
-		w, g := p.W.Data, p.G.Data
-		for i := range w {
-			gi := g[i]
-			if o.WeightDecay != 0 {
-				gi += o.WeightDecay * w[i]
-			}
-			v[i] = o.M*v[i] + gi
-			w[i] -= o.LR * (o.A*v[i] + o.B*gi)
-			g[i] = 0
-		}
+		step(o, p.W.Data, p.G.Data, v)
 	}
 }
 
-// step32 updates one f32 parameter. Velocity stays float64 — master-precision
-// optimizer state: each weight is widened to f64, updated there, and rounded
-// exactly once on the write back, so a step loses precision only at the final
-// store (the standard mixed-precision recipe).
-func (o *Momentum) step32(p *nn.Param, v []float64) {
-	w, g := p.W.Data32(), p.G.Data32()
+// step updates one parameter's weights w from its gradient g and zeroes g.
+// Velocity stays float64 at both dtypes — master-precision optimizer state:
+// each weight is widened to f64, updated there, and rounded exactly once on
+// the write back, so an f32 step loses precision only at the final store
+// (the standard mixed-precision recipe). At f64 every conversion is a no-op.
+func step[T tensor.Elem](o *Momentum, w, g []T, v []float64) {
 	for i := range w {
 		gi := float64(g[i])
 		if o.WeightDecay != 0 {
 			gi += o.WeightDecay * float64(w[i])
 		}
 		v[i] = o.M*v[i] + gi
-		w[i] = float32(float64(w[i]) - o.LR*(o.A*v[i]+o.B*gi))
+		w[i] = T(float64(w[i]) - o.LR*(o.A*v[i]+o.B*gi))
 		g[i] = 0
 	}
 }

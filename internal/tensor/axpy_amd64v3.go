@@ -2,9 +2,10 @@
 
 package tensor
 
-// haveAxpy gates the AVX2 fast path in mmTileAcc32. It is true only on
-// GOAMD64=v3 builds (the compiler sets the amd64.v3 build tag), where AVX2
-// is part of the architecture baseline — no runtime CPUID probe needed.
+// haveAxpy gates the AVX2 fast path in the float32 instantiation of
+// mmTileAcc. It is true only on GOAMD64=v3 builds (the compiler sets the
+// amd64.v3 build tag), where AVX2 is part of the architecture baseline — no
+// runtime CPUID probe needed.
 const haveAxpy = true
 
 // axpy4x2 accumulates a 2-row × 4-p GEMM panel into two float32 output rows:
@@ -14,7 +15,7 @@ const haveAxpy = true
 //
 // for j in [0, n), with each product added in ascending p-order via separate
 // VMULPS/VADDPS (no FMA), so results are bit-identical to the scalar loop in
-// mmTileAcc32. Requires n > 0 and n%8 == 0; callers pass the 8-aligned
+// mmTileAcc. Requires n > 0 and n%8 == 0; callers pass the 8-aligned
 // prefix of the tile width and finish the remainder in the scalar loop.
 //
 //go:noescape

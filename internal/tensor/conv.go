@@ -15,53 +15,6 @@ func ConvOut(in, kernel, stride, pad int) int {
 	return out
 }
 
-// im2colSlice unfolds one channel plane xc [h,w] into the rows of cols that
-// correspond to channel ch. cols must be pre-zeroed (padding positions keep
-// their zeros).
-func im2colSlice(cols, xc []float64, ch, h, w, kh, kw, stride, pad, oh, ow int) {
-	for ki := 0; ki < kh; ki++ {
-		for kj := 0; kj < kw; kj++ {
-			rowBase := ((ch*kh+ki)*kw + kj) * oh * ow
-			for oi := 0; oi < oh; oi++ {
-				ii := oi*stride + ki - pad
-				if ii < 0 || ii >= h {
-					continue
-				}
-				for oj := 0; oj < ow; oj++ {
-					jj := oj*stride + kj - pad
-					if jj < 0 || jj >= w {
-						continue
-					}
-					cols[rowBase+oi*ow+oj] = xc[ii*w+jj]
-				}
-			}
-		}
-	}
-}
-
-// col2imSlice folds channel ch's rows of cols back into the plane xc [h,w],
-// accumulating overlapping contributions. xc must be pre-zeroed.
-func col2imSlice(xc, cols []float64, ch, h, w, kh, kw, stride, pad, oh, ow int) {
-	for ki := 0; ki < kh; ki++ {
-		for kj := 0; kj < kw; kj++ {
-			rowBase := ((ch*kh+ki)*kw + kj) * oh * ow
-			for oi := 0; oi < oh; oi++ {
-				ii := oi*stride + ki - pad
-				if ii < 0 || ii >= h {
-					continue
-				}
-				for oj := 0; oj < ow; oj++ {
-					jj := oj*stride + kj - pad
-					if jj < 0 || jj >= w {
-						continue
-					}
-					xc[ii*w+jj] += cols[rowBase+oi*ow+oj]
-				}
-			}
-		}
-	}
-}
-
 // Im2ColInto unfolds x [C, H, W] into dst [C*KH*KW, OH*OW], fully
 // overwriting dst (padding positions become zero).
 func Im2ColInto(dst, x *Tensor, kh, kw, stride, pad int) {
@@ -73,20 +26,22 @@ func Im2ColInto(dst, x *Tensor, kh, kw, stride, pad int) {
 	checkDst("Im2ColInto", dst, c*kh*kw, oh*ow)
 	if pad > 0 {
 		// With padding, out-of-bounds positions keep their zeros; without,
-		// im2colSlice provably writes every element (ConvOut guarantees
+		// im2col provably writes every element (ConvOut guarantees
 		// (oh−1)·stride+kh ≤ h), so the memset would be pure waste.
 		dst.Zero()
 	}
+	checkSameDType("Im2ColInto", dst.dtype, x)
 	if dst.dtype == F32 {
-		checkSameDType("Im2ColInto", F32, x)
-		for ch := 0; ch < c; ch++ {
-			im2colSlice32(dst.data32, x.data32[ch*h*w:(ch+1)*h*w], ch, h, w, kh, kw, stride, pad, oh, ow)
-		}
+		im2col(dst.data32, x.data32, c, h, w, kh, kw, stride, pad, oh, ow)
 		return
 	}
-	checkSameDType("Im2ColInto", F64, x)
+	im2col(dst.Data, x.Data, c, h, w, kh, kw, stride, pad, oh, ow)
+}
+
+// im2col unfolds every channel of x [c,h,w] into cols.
+func im2col[T Elem](cols, x []T, c, h, w, kh, kw, stride, pad, oh, ow int) {
 	for ch := 0; ch < c; ch++ {
-		im2colSlice(dst.Data, x.Data[ch*h*w:(ch+1)*h*w], ch, h, w, kh, kw, stride, pad, oh, ow)
+		im2colRange(cols, x[ch*h*w:(ch+1)*h*w], ch, h, w, kh, kw, stride, pad, oh, ow, 0, oh)
 	}
 }
 
@@ -116,17 +71,20 @@ func Col2ImInto(dst, cols *Tensor, c, h, w, kh, kw, stride, pad int) {
 	if len(dst.Shape) != 3 || dst.Shape[0] != c || dst.Shape[1] != h || dst.Shape[2] != w {
 		panic(fmt.Sprintf("tensor: Col2ImInto dst %v, want [%d,%d,%d]", dst.Shape, c, h, w))
 	}
+	checkSameDType("Col2ImInto", dst.dtype, cols)
 	dst.Zero()
 	if dst.dtype == F32 {
-		checkSameDType("Col2ImInto", F32, cols)
-		for ch := 0; ch < c; ch++ {
-			col2imSlice32(dst.data32[ch*h*w:(ch+1)*h*w], cols.data32, ch, h, w, kh, kw, stride, pad, oh, ow)
-		}
+		col2im(dst.data32, cols.data32, c, h, w, kh, kw, stride, pad, oh, ow)
 		return
 	}
-	checkSameDType("Col2ImInto", F64, cols)
+	col2im(dst.Data, cols.Data, c, h, w, kh, kw, stride, pad, oh, ow)
+}
+
+// col2im folds cols back into every channel plane of the pre-zeroed x
+// [c,h,w].
+func col2im[T Elem](x, cols []T, c, h, w, kh, kw, stride, pad, oh, ow int) {
 	for ch := 0; ch < c; ch++ {
-		col2imSlice(dst.Data[ch*h*w:(ch+1)*h*w], cols.Data, ch, h, w, kh, kw, stride, pad, oh, ow)
+		col2imSlice(x[ch*h*w:(ch+1)*h*w], cols, ch, h, w, kh, kw, stride, pad, oh, ow)
 	}
 }
 
@@ -151,34 +109,35 @@ func Conv2DForwardArena(ar *Arena, x, w, b *Tensor, stride, pad int, colsBuf []*
 	if len(x.Shape) != 4 || len(w.Shape) != 4 || x.Shape[1] != w.Shape[1] {
 		panic(fmt.Sprintf("tensor: Conv2DForward shapes x=%v w=%v", x.Shape, w.Shape))
 	}
+	checkSameDType("Conv2DForward", x.dtype, w, b)
 	if x.dtype == F32 {
-		return conv2DForwardArena32(ar, x, w, b, stride, pad, colsBuf)
+		return conv2DForward[float32](ar, x, w, b, stride, pad, colsBuf)
 	}
+	return conv2DForward[float64](ar, x, w, b, stride, pad, colsBuf)
+}
+
+func conv2DForward[T Elem](ar *Arena, x, w, b *Tensor, stride, pad int, colsBuf []*Tensor) (y *Tensor, cols []*Tensor) {
+	dt := dtypeOf[T]()
 	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	f, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
 	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(wd, kw, stride, pad)
-	y = ar.Get(n, f, oh, ow)
+	xd, wdat := DataOf[T](x), DataOf[T](w)
+	y = ar.GetDT(dt, n, f, oh, ow)
+	yd := DataOf[T](y)
 	cols = colsBuf[:0]
 	for s := 0; s < n; s++ {
-		col := ar.Get(c*kh*kw, oh*ow)
+		col := ar.GetDT(dt, c*kh*kw, oh*ow)
 		if pad > 0 {
 			col.Zero() // see Im2ColInto: pad-0 geometry covers every element
 		}
-		for ch := 0; ch < c; ch++ {
-			base := (s*c + ch) * h * wd
-			im2colSlice(col.Data, x.Data[base:base+h*wd], ch, h, wd, kh, kw, stride, pad, oh, ow)
-		}
+		cd := DataOf[T](col)
+		im2col(cd, xd[s*c*h*wd:(s+1)*c*h*wd], c, h, wd, kh, kw, stride, pad, oh, ow)
 		cols = append(cols, col)
 		// y[s] = w·col as [F, OH*OW], straight into y's sample block.
-		matMulSlices(y.Data[s*f*oh*ow:(s+1)*f*oh*ow], w.Data, col.Data, f, c*kh*kw, oh*ow)
+		ys := yd[s*f*oh*ow : (s+1)*f*oh*ow]
+		matMulSlices(ys, wdat, cd, f, c*kh*kw, oh*ow)
 		if b != nil {
-			for ff := 0; ff < f; ff++ {
-				bias := b.Data[ff]
-				row := y.Data[s*f*oh*ow+ff*oh*ow : s*f*oh*ow+(ff+1)*oh*ow]
-				for k := range row {
-					row[k] += bias
-				}
-			}
+			addRowBias(ys, DataOf[T](b), oh*ow, 0, oh*ow)
 		}
 	}
 	return y, cols
@@ -195,38 +154,36 @@ func Conv2DForward(x, w, b *Tensor, stride, pad int) (y *Tensor, cols []*Tensor)
 // db [F] (db may be nil). Scratch buffers are drawn from and returned to ar.
 // The caller keeps ownership of dy and cols.
 func Conv2DBackwardArena(ar *Arena, dy, w *Tensor, cols []*Tensor, dw, db *Tensor, xShape []int, stride, pad int) (dx *Tensor) {
+	checkSameDType("Conv2DBackward", dy.dtype, w, dw, db)
 	if dy.dtype == F32 {
-		return conv2DBackwardArena32(ar, dy, w, cols, dw, db, xShape, stride, pad)
+		return conv2DBackward[float32](ar, dy, w, cols, dw, db, xShape, stride, pad)
 	}
+	return conv2DBackward[float64](ar, dy, w, cols, dw, db, xShape, stride, pad)
+}
+
+func conv2DBackward[T Elem](ar *Arena, dy, w *Tensor, cols []*Tensor, dw, db *Tensor, xShape []int, stride, pad int) (dx *Tensor) {
+	dt := dtypeOf[T]()
 	n, c, h, wd := xShape[0], xShape[1], xShape[2], xShape[3]
 	f, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
 	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(wd, kw, stride, pad)
 	fan := c * kh * kw
-	dx = ar.Get(n, c, h, wd)
-	dcols := ar.Get(fan, oh*ow) // wᵀ·dy of one sample
+	dyd, wdat, dwd := DataOf[T](dy), DataOf[T](w), DataOf[T](dw)
+	dx = ar.GetDT(dt, n, c, h, wd)
+	dcols := ar.GetDT(dt, fan, oh*ow) // wᵀ·dy of one sample
+	dxd, dcd := DataOf[T](dx), DataOf[T](dcols)
 	for s := 0; s < n; s++ {
-		dys := dy.Data[s*f*oh*ow : (s+1)*f*oh*ow]
+		dys := dyd[s*f*oh*ow : (s+1)*f*oh*ow]
 		// dW += dy · colsᵀ, accumulated dot-by-dot straight into dw
 		// (bit-identical to a scratch product followed by an add).
-		matMulTransBSlicesAcc(dw.Data, dys, cols[s].Data, f, oh*ow, fan)
+		matMulTransBSlicesAcc(dwd, dys, DataOf[T](cols[s]), f, oh*ow, fan)
 		if db != nil {
-			for ff := 0; ff < f; ff++ {
-				sum := 0.0
-				for _, v := range dys[ff*oh*ow : (ff+1)*oh*ow] {
-					sum += v
-				}
-				db.Data[ff] += sum
-			}
+			accRowSums(DataOf[T](db), dys, oh*ow)
 		}
 		// dcols = wᵀ · dy, then fold back to image space.
-		matMulTransASlices(dcols.Data, w.Data, dys, f, fan, oh*ow)
-		dxs := dx.Data[s*c*h*wd : (s+1)*c*h*wd]
-		for i := range dxs {
-			dxs[i] = 0
-		}
-		for ch := 0; ch < c; ch++ {
-			col2imSlice(dxs[ch*h*wd:(ch+1)*h*wd], dcols.Data, ch, h, wd, kh, kw, stride, pad, oh, ow)
-		}
+		matMulTransASlices(dcd, wdat, dys, f, fan, oh*ow)
+		dxs := dxd[s*c*h*wd : (s+1)*c*h*wd]
+		clear(dxs)
+		col2im(dxs, dcd, c, h, wd, kh, kw, stride, pad, oh, ow)
 	}
 	ar.Put(dcols)
 	return dx

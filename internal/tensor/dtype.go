@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // DType selects the element type of a Tensor's storage. The zero value is
 // F64, so every pre-existing construction path (struct literals included)
@@ -16,8 +19,8 @@ const (
 	F32
 )
 
-// String returns the artifact spelling ("f64"/"f32") used by bench rows and
-// flags.
+// String returns the spelling ("f64"/"f32") that flags, configs and panic
+// messages use.
 func (d DType) String() string {
 	if d == F32 {
 		return "f32"
@@ -46,9 +49,22 @@ func ParseDType(s string) (DType, error) {
 }
 
 // Elem constrains the generic kernels and helpers to the two supported
-// element types.
+// element types. Every kernel in this package is written once over Elem.
+// float32 and float64 have distinct GC shapes, so Go compiles a separate
+// body for each instantiation and arithmetic on T needs no dictionary: the
+// f32 and f64 kernels run exactly the loops a hand-written copy would.
 type Elem interface {
 	float32 | float64
+}
+
+// dtypeOf returns the DType storing T. unsafe.Sizeof of a type parameter
+// is a constant in each instantiation, so the test folds away.
+func dtypeOf[T Elem]() DType {
+	var z T
+	if unsafe.Sizeof(z) == 4 {
+		return F32
+	}
+	return F64
 }
 
 // f32Align is the alignment contract of float32 backing slices, in elements:
@@ -69,6 +85,15 @@ func alignedF32(n int) []float32 {
 		off = (64 - r) / 4
 	}
 	return raw[off : off+n : off+n]
+}
+
+// f32PtrMod64 returns the address of s's first element modulo 64 (0 for an
+// empty slice) — the alignment probe behind alignedF32 and the layout tests.
+func f32PtrMod64(s []float32) int {
+	if len(s) == 0 {
+		return 0
+	}
+	return int(uintptr(unsafe.Pointer(&s[0])) & 63)
 }
 
 // DType reports t's element type.
@@ -183,8 +208,7 @@ func (t *Tensor) SetData32(data []float32) {
 // otherwise) — the generic accessor for code written once over both element
 // types.
 func DataOf[E Elem](t *Tensor) []E {
-	var z E
-	if _, is32 := any(z).(float32); is32 {
+	if dtypeOf[E]() == F32 {
 		if t.dtype != F32 {
 			panic("tensor: DataOf[float32] on f64 tensor")
 		}
@@ -196,12 +220,13 @@ func DataOf[E Elem](t *Tensor) []E {
 	return any(t.Data).([]E)
 }
 
-// checkSameDType panics unless every tensor has dtype dt. Mixed-dtype kernel
+// checkSameDType panics unless every non-nil tensor has dtype dt (nil stands
+// for an absent operand, such as a missing bias). Mixed-dtype kernel
 // invocations are always a bug; failing loudly here beats a silent nil-slice
 // no-op.
 func checkSameDType(op string, dt DType, ts ...*Tensor) {
 	for _, t := range ts {
-		if t.dtype != dt {
+		if t != nil && t.dtype != dt {
 			panic(fmt.Sprintf("tensor: %s dtype mismatch: %s operand in %s call", op, t.dtype, dt))
 		}
 	}

@@ -6,31 +6,6 @@ import (
 	"testing"
 )
 
-// randTensor32 draws a float32 tensor whose values are exact float32 casts
-// of normal draws — the standard input for the f32 equivalence matrices.
-func randTensor32(rng *rand.Rand, shape ...int) *Tensor {
-	x := New32(shape...)
-	for i := range x.data32 {
-		x.data32[i] = float32(rng.NormFloat64())
-	}
-	return x
-}
-
-// bitEqual32 reports exact float32 equality element-wise — the f32
-// determinism contract is bit-identity against the f32 scalar reference,
-// exactly like f64's.
-func bitEqual32(a, b *Tensor) bool {
-	if len(a.data32) != len(b.data32) {
-		return false
-	}
-	for i, v := range a.data32 {
-		if v != b.data32[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // relClose reports |a−b| ≤ tol·max(1, |a|, |b|) — the relative-error
 // criterion of the f32-vs-f64 oracle comparisons (DESIGN.md §15).
 func relClose(a, b, tol float64) bool {
@@ -122,12 +97,12 @@ func TestConvertRoundTrip(t *testing.T) {
 // against their definitionally-simple float32 results.
 func TestElementwiseOps32(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	a := randTensor32(rng, 4, 4)
-	b := randTensor32(rng, 4, 4)
+	a := randOf[float32](rng, 4, 4)
+	b := randOf[float32](rng, 4, 4)
 	av := append([]float32(nil), a.data32...)
 
 	c := a.Clone()
-	if c.DType() != F32 || !bitEqual32(c, a) {
+	if c.DType() != F32 || !bitEqual(c, a) {
 		t.Fatal("Clone of f32 tensor broken")
 	}
 	c.Add(b)
@@ -206,60 +181,6 @@ func TestMixedDTypePanics(t *testing.T) {
 	}
 }
 
-// TestBlockedGEMM32MatchesReference is the f32 duplicate of
-// TestBlockedGEMMMatchesReference: the blocked, parallel f32 GEMM kernels
-// (including the AVX microkernel on GOAMD64=v3 builds) must be bit-identical
-// to the f32 scalar reference kernels across shapes and worker counts.
-func TestBlockedGEMM32MatchesReference(t *testing.T) {
-	forceParallel(t)
-	rng := rand.New(rand.NewSource(52))
-	groups := testGroups(t)
-	for _, sh := range gemmShapes(rng) {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := randTensor32(rng, m, k)
-		b := randTensor32(rng, k, n)
-		at := randTensor32(rng, k, m)
-		bt := randTensor32(rng, n, k)
-		acc0 := randTensor32(rng, m, n)
-
-		wantMM := New32(m, n)
-		matMulSlices32(wantMM.data32, a.data32, b.data32, m, k, n)
-		wantTA := New32(m, n)
-		matMulTransASlices32(wantTA.data32, at.data32, b.data32, k, m, n)
-		wantTAAcc := acc0.Clone()
-		matMulTransASlicesAcc32(wantTAAcc.data32, at.data32, b.data32, k, m, n)
-		wantTB := New32(m, n)
-		matMulTransBSlices32(wantTB.data32, a.data32, bt.data32, m, k, n)
-
-		for _, p := range groups {
-			got := New32(m, n)
-			p.MatMulInto(got, a, b)
-			if !bitEqual32(got, wantMM) {
-				t.Fatalf("MatMul32 m=%d k=%d n=%d workers=%d deviates from reference", m, k, n, p.Workers())
-			}
-			p.MatMulTransAInto(got, at, b)
-			if !bitEqual32(got, wantTA) {
-				t.Fatalf("MatMulTransA32 m=%d k=%d n=%d workers=%d deviates", m, k, n, p.Workers())
-			}
-			gotAcc := acc0.Clone()
-			p.MatMulTransAAccInto(gotAcc, at, b)
-			if !bitEqual32(gotAcc, wantTAAcc) {
-				t.Fatalf("MatMulTransAAcc32 m=%d k=%d n=%d workers=%d deviates", m, k, n, p.Workers())
-			}
-			p.MatMulTransBInto(got, a, bt)
-			if !bitEqual32(got, wantTB) {
-				t.Fatalf("MatMulTransB32 m=%d k=%d n=%d workers=%d deviates", m, k, n, p.Workers())
-			}
-		}
-		// The package-level Into forms dispatch to the same scalar kernels.
-		got := New32(m, n)
-		MatMulInto(got, a, b)
-		if !bitEqual32(got, wantMM) {
-			t.Fatalf("package MatMulInto at f32 deviates (m=%d k=%d n=%d)", m, k, n)
-		}
-	}
-}
-
 // TestAxpyMatchesScalar drives the axpy4x2 microkernel directly against a
 // hand-rolled scalar loop. On GOAMD64=v3 builds this is the asm-vs-scalar
 // oracle test; on baseline builds it covers the pure-Go stub, so the
@@ -310,75 +231,6 @@ func TestAxpyMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestParallelConv32MatchesReference is the f32 duplicate of
-// TestParallelConvMatchesReference, and additionally proves pooled ≡
-// unpooled at f32: the arena path must be bit-identical to the nil-arena
-// path.
-func TestParallelConv32MatchesReference(t *testing.T) {
-	forceParallel(t)
-	rng := rand.New(rand.NewSource(54))
-	groups := testGroups(t)
-	for _, tc := range convCases() {
-		x := randTensor32(rng, 1, tc.c, tc.h, tc.w)
-		w := randTensor32(rng, tc.f, tc.c, tc.kh, tc.kh)
-		bias := randTensor32(rng, tc.f)
-		yRef, colsRef := Conv2DForward(x, w, bias, tc.stride, tc.pad)
-		if yRef.DType() != F32 {
-			t.Fatal("Conv2DForward did not preserve dtype")
-		}
-		dy := randTensor32(rng, yRef.Shape...)
-		dwRef, dbRef := New32(w.Shape...), New32(tc.f)
-		dxRef := Conv2DBackward(dy, w, colsRef, dwRef, dbRef, x.Shape, tc.stride, tc.pad)
-
-		for _, p := range groups {
-			for _, ar := range []*Arena{nil, NewArena()} {
-				y, cols := p.ConvForward(ar, x, w, bias, tc.stride, tc.pad, nil)
-				if !bitEqual32(y, yRef) {
-					t.Fatalf("ConvForward32 %+v workers=%d arena=%v output deviates", tc, p.Workers(), ar != nil)
-				}
-				for s := range cols {
-					if !bitEqual32(cols[s], colsRef[s]) {
-						t.Fatalf("ConvForward32 %+v workers=%d im2col deviates", tc, p.Workers())
-					}
-				}
-				dw, db := New32(w.Shape...), New32(tc.f)
-				dx := p.ConvBackward(ar, dy, w, cols, dw, db, x.Shape, tc.stride, tc.pad)
-				if !bitEqual32(dx, dxRef) || !bitEqual32(dw, dwRef) || !bitEqual32(db, dbRef) {
-					t.Fatalf("ConvBackward32 %+v workers=%d arena=%v gradients deviate", tc, p.Workers(), ar != nil)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelIm2ColCol2Im32MatchesReference duplicates the standalone
-// unfold/fold equivalence at f32.
-func TestParallelIm2ColCol2Im32MatchesReference(t *testing.T) {
-	forceParallel(t)
-	rng := rand.New(rand.NewSource(55))
-	groups := testGroups(t)
-	for _, tc := range convCases() {
-		x := randTensor32(rng, tc.c, tc.h, tc.w)
-		want := Im2Col(x, tc.kh, tc.kh, tc.stride, tc.pad)
-		backWant := Col2Im(want, tc.c, tc.h, tc.w, tc.kh, tc.kh, tc.stride, tc.pad)
-		if want.DType() != F32 || backWant.DType() != F32 {
-			t.Fatal("Im2Col/Col2Im did not preserve dtype")
-		}
-		for _, p := range groups {
-			got := New32(want.Shape...)
-			p.Im2ColInto(got, x, tc.kh, tc.kh, tc.stride, tc.pad)
-			if !bitEqual32(got, want) {
-				t.Fatalf("Im2Col32 %+v workers=%d deviates", tc, p.Workers())
-			}
-			back := New32(tc.c, tc.h, tc.w)
-			p.Col2ImInto(back, got, tc.c, tc.h, tc.w, tc.kh, tc.kh, tc.stride, tc.pad)
-			if !bitEqual32(back, backWant) {
-				t.Fatalf("Col2Im32 %+v workers=%d deviates", tc, p.Workers())
-			}
-		}
-	}
-}
-
 // TestGEMM32AgainstF64Oracle validates the f32 kernels against the bit-exact
 // f64 oracle by relative error: same inputs (f32-representable), both
 // dtypes, answers within float32 rounding accumulated over the reduction.
@@ -386,8 +238,8 @@ func TestGEMM32AgainstF64Oracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	for _, sh := range [][3]int{{16, 16, 16}, {64, 64, 64}, {7, 33, 5}} {
 		m, k, n := sh[0], sh[1], sh[2]
-		a32 := randTensor32(rng, m, k)
-		b32 := randTensor32(rng, k, n)
+		a32 := randOf[float32](rng, m, k)
+		b32 := randOf[float32](rng, k, n)
 		a64, b64 := a32.ConvertTo(F64), b32.ConvertTo(F64)
 		want := MatMul(a64, b64)
 		got := MatMul(a32, b32)
@@ -409,7 +261,7 @@ func TestGEMM32AgainstF64Oracle(t *testing.T) {
 // relative tolerance.
 func TestPool32MatchesF64Oracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
-	x32 := randTensor32(rng, 2, 3, 8, 8)
+	x32 := randOf[float32](rng, 2, 3, 8, 8)
 	x64 := x32.ConvertTo(F64)
 
 	y32, am32 := MaxPool2DForward(x32, 2, 2)
@@ -422,7 +274,7 @@ func TestPool32MatchesF64Oracle(t *testing.T) {
 			t.Fatalf("max-pool value differs at %d", i)
 		}
 	}
-	dy32 := randTensor32(rng, y32.Shape...)
+	dy32 := randOf[float32](rng, y32.Shape...)
 	dx32 := MaxPool2DBackward(dy32, am32, x32.Shape)
 	dx64 := MaxPool2DBackward(dy32.ConvertTo(F64), am64, x64.Shape)
 	for i, v := range dx32.data32 {
@@ -467,9 +319,9 @@ func TestPool32MatchesF64Oracle(t *testing.T) {
 func TestConv32AgainstF64Oracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(58))
 	for _, tc := range convCases() {
-		x32 := randTensor32(rng, 2, tc.c, tc.h, tc.w)
-		w32 := randTensor32(rng, tc.f, tc.c, tc.kh, tc.kh)
-		b32 := randTensor32(rng, tc.f)
+		x32 := randOf[float32](rng, 2, tc.c, tc.h, tc.w)
+		w32 := randOf[float32](rng, tc.f, tc.c, tc.kh, tc.kh)
+		b32 := randOf[float32](rng, tc.f)
 		x64, w64, b64 := x32.ConvertTo(F64), w32.ConvertTo(F64), b32.ConvertTo(F64)
 
 		y32, cols32 := Conv2DForward(x32, w32, b32, tc.stride, tc.pad)
@@ -481,7 +333,7 @@ func TestConv32AgainstF64Oracle(t *testing.T) {
 				t.Fatalf("conv fwd %+v deviates at %d: %v vs %v", tc, i, v, y64.Data[i])
 			}
 		}
-		dy32 := randTensor32(rng, y32.Shape...)
+		dy32 := randOf[float32](rng, y32.Shape...)
 		dw32, db32 := New32(w32.Shape...), New32(tc.f)
 		dx32 := Conv2DBackward(dy32, w32, cols32, dw32, db32, x32.Shape, tc.stride, tc.pad)
 		dw64, db64 := New(w64.Shape...), New(tc.f)

@@ -147,17 +147,33 @@ type job struct {
 	kind      jobKind
 	units     int
 	splitCols bool
-	// f32 selects the float32 kernel set; exactly one of the slice groups is
-	// populated per dispatch (see parallel32.go for the f32 bodies).
-	f32       bool
-	dst, a, b []float64
 	m, k, n   int
 	// Convolution geometry (im2col/col2im/fused kinds).
-	src                                  []float64 // input image plane(s)
-	bias                                 []float64 // nil for no bias
 	c, h, w, kh, kw, stride, pad, oh, ow int
-	// Float32 twins of the slice operands.
-	dst32, a32, b32, src32, bias32 []float32
+	// f32 selects the operand group the dispatch reads; exactly one of o64
+	// and o32 is populated.
+	f32 bool
+	o64 operands[float64]
+	o32 operands[float32]
+}
+
+// operands are a job's slice operands at one dtype.
+type operands[T Elem] struct {
+	dst, a, b []T
+	src       []T // input image plane(s)
+	bias      []T // nil for no bias
+}
+
+// bind returns j with o installed as its operand group. Value argument and
+// result on purpose: a pointer would make the caller's stack-local job
+// escape, putting one heap allocation back on every kernel dispatch.
+func bind[T Elem](j job, o operands[T]) job {
+	if dtypeOf[T]() == F32 {
+		j.f32, j.o32 = true, any(o).(operands[float32])
+	} else {
+		j.o64 = any(o).(operands[float64])
+	}
+	return j
 }
 
 // runJob executes units [u0, u1) of a job. It is the single dispatch point
@@ -167,57 +183,47 @@ func runJob(j *job, u0, u1 int) {
 		return
 	}
 	if j.f32 {
-		runJob32(j, u0, u1)
-		return
+		runTiles(j, &j.o32, u0, u1)
+	} else {
+		runTiles(j, &j.o64, u0, u1)
+	}
+}
+
+// runTiles runs units [u0, u1) of j over the operand group o.
+func runTiles[T Elem](j *job, o *operands[T], u0, u1 int) {
+	// GEMM tiles: output rows [i0, i1) × columns [c0, c1).
+	i0, i1, c0, c1 := u0, u1, 0, j.n
+	if j.splitCols {
+		i0, i1, c0, c1 = 0, j.m, u0, u1
 	}
 	switch j.kind {
 	case jobMM:
-		if j.splitCols {
-			mmTile(j.dst, j.a, j.b, j.k, j.n, 0, j.m, u0, u1)
-		} else {
-			mmTile(j.dst, j.a, j.b, j.k, j.n, u0, u1, 0, j.n)
-		}
+		mmTile(o.dst, o.a, o.b, j.k, j.n, i0, i1, c0, c1)
 	case jobMMTA:
-		if j.splitCols {
-			mmTATile(j.dst, j.a, j.b, j.k, j.m, j.n, 0, j.m, u0, u1)
-		} else {
-			mmTATile(j.dst, j.a, j.b, j.k, j.m, j.n, u0, u1, 0, j.n)
-		}
+		mmTATile(o.dst, o.a, o.b, j.k, j.m, j.n, i0, i1, c0, c1)
 	case jobMMTAAcc:
-		if j.splitCols {
-			mmTATileAcc(j.dst, j.a, j.b, j.k, j.m, j.n, 0, j.m, u0, u1)
-		} else {
-			mmTATileAcc(j.dst, j.a, j.b, j.k, j.m, j.n, u0, u1, 0, j.n)
-		}
+		mmTATileAcc(o.dst, o.a, o.b, j.k, j.m, j.n, i0, i1, c0, c1)
 	case jobMMTB:
-		if j.splitCols {
-			mmTBTile(j.dst, j.a, j.b, j.k, j.n, 0, j.m, u0, u1, false)
-		} else {
-			mmTBTile(j.dst, j.a, j.b, j.k, j.n, u0, u1, 0, j.n, false)
-		}
+		mmTBTile(o.dst, o.a, o.b, j.k, j.n, i0, i1, c0, c1, false)
 	case jobMMTBAcc:
-		if j.splitCols {
-			mmTBTile(j.dst, j.a, j.b, j.k, j.n, 0, j.m, u0, u1, true)
-		} else {
-			mmTBTile(j.dst, j.a, j.b, j.k, j.n, u0, u1, 0, j.n, true)
-		}
+		mmTBTile(o.dst, o.a, o.b, j.k, j.n, i0, i1, c0, c1, true)
 	case jobIm2Col:
 		for ch := u0; ch < u1; ch++ {
 			if j.pad > 0 {
 				base := ch * j.kh * j.kw * j.oh * j.ow
-				zeroSlice(j.dst[base : base+j.kh*j.kw*j.oh*j.ow])
+				clear(o.dst[base : base+j.kh*j.kw*j.oh*j.ow])
 			}
-			im2colRange(j.dst, j.src[ch*j.h*j.w:(ch+1)*j.h*j.w], ch,
+			im2colRange(o.dst, o.src[ch*j.h*j.w:(ch+1)*j.h*j.w], ch,
 				j.h, j.w, j.kh, j.kw, j.stride, j.pad, j.oh, j.ow, 0, j.oh)
 		}
 	case jobCol2Im:
 		for ch := u0; ch < u1; ch++ {
-			plane := j.dst[ch*j.h*j.w : (ch+1)*j.h*j.w]
-			zeroSlice(plane)
-			col2imSlice(plane, j.a, ch, j.h, j.w, j.kh, j.kw, j.stride, j.pad, j.oh, j.ow)
+			plane := o.dst[ch*j.h*j.w : (ch+1)*j.h*j.w]
+			clear(plane)
+			col2imSlice(plane, o.a, ch, j.h, j.w, j.kh, j.kw, j.stride, j.pad, j.oh, j.ow)
 		}
 	case jobConvFwd:
-		convFwdRange(j, u0, u1)
+		convFwdRange(j, o, u0, u1)
 	}
 }
 
@@ -225,7 +231,7 @@ func runJob(j *job, u0, u1 int) {
 // unfolds the im2col columns, multiplies them against the filter matrix and
 // adds the bias — the whole column stripe stays cache-hot between the three
 // steps. Workers touch disjoint column stripes of both cols and dst.
-func convFwdRange(j *job, o0, o1 int) {
+func convFwdRange[T Elem](j *job, o *operands[T], o0, o1 int) {
 	fan := j.c * j.kh * j.kw
 	ohow := j.oh * j.ow
 	j0, j1 := o0*j.ow, o1*j.ow
@@ -233,36 +239,38 @@ func convFwdRange(j *job, o0, o1 int) {
 		// Padding positions keep their zeros; pad-0 geometry writes every
 		// element of the stripe (see Im2ColInto).
 		for r := 0; r < fan; r++ {
-			zeroSlice(j.b[r*ohow+j0 : r*ohow+j1])
+			clear(o.b[r*ohow+j0 : r*ohow+j1])
 		}
 	}
 	for ch := 0; ch < j.c; ch++ {
-		im2colRange(j.b, j.src[ch*j.h*j.w:(ch+1)*j.h*j.w], ch,
+		im2colRange(o.b, o.src[ch*j.h*j.w:(ch+1)*j.h*j.w], ch,
 			j.h, j.w, j.kh, j.kw, j.stride, j.pad, j.oh, j.ow, o0, o1)
 	}
-	mmTile(j.dst, j.a, j.b, fan, ohow, 0, j.m, j0, j1)
-	if j.bias != nil {
-		for ff := 0; ff < j.m; ff++ {
-			bias := j.bias[ff]
-			row := j.dst[ff*ohow+j0 : ff*ohow+j1]
-			for i := range row {
-				row[i] += bias
-			}
-		}
-	}
-}
-
-// zeroSlice clears s (kept out-of-line so tile kernels stay readable).
-func zeroSlice(s []float64) {
-	for i := range s {
-		s[i] = 0
-	}
+	mmTile(o.dst, o.a, o.b, fan, ohow, 0, j.m, j0, j1)
+	addRowBias(o.dst, o.bias, ohow, j0, j1)
 }
 
 // gemmSplitCols picks the GEMM partition axis: output rows by default,
 // columns when the row count is the smaller split space. The choice affects
 // only load balance, never results.
 func gemmSplitCols(m, n int) bool { return n > m }
+
+// gemm binds a GEMM job's operands at dst's dtype and runs it, split by
+// output rows or, for wide products, by output columns.
+func (p *Parallel) gemm(op string, j job, dst, a, b *Tensor) {
+	checkSameDType(op, dst.dtype, a, b)
+	if dst.dtype == F32 {
+		j = bind(j, operands[float32]{dst: dst.data32, a: a.data32, b: b.data32})
+	} else {
+		j = bind(j, operands[float64]{dst: dst.Data, a: a.Data, b: b.Data})
+	}
+	j.splitCols = gemmSplitCols(j.m, j.n)
+	j.units = j.m
+	if j.splitCols {
+		j.units = j.n
+	}
+	p.run(j.m*j.k*j.n, j)
+}
 
 // MatMulInto computes dst = a·b like the package-level MatMulInto, using the
 // group's blocked kernel — bit-identical to the reference at any worker
@@ -273,14 +281,7 @@ func (p *Parallel) MatMulInto(dst, a, b *Tensor) {
 	}
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	checkDst("MatMulInto", dst, m, n)
-	j := job{kind: jobMM, m: m, k: k, n: n}
-	j = j.bound(dst, a, b, "MatMulInto")
-	if j.splitCols = gemmSplitCols(m, n); j.splitCols {
-		j.units = n
-	} else {
-		j.units = m
-	}
-	p.run(m*k*n, j)
+	p.gemm("MatMulInto", job{kind: jobMM, m: m, k: k, n: n}, dst, a, b)
 }
 
 // MatMulTransAInto computes dst = aᵀ·b (a [k,m], b [k,n]) with the blocked
@@ -291,14 +292,7 @@ func (p *Parallel) MatMulTransAInto(dst, a, b *Tensor) {
 	}
 	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	checkDst("MatMulTransAInto", dst, m, n)
-	j := job{kind: jobMMTA, m: m, k: k, n: n}
-	j = j.bound(dst, a, b, "MatMulTransAInto")
-	if j.splitCols = gemmSplitCols(m, n); j.splitCols {
-		j.units = n
-	} else {
-		j.units = m
-	}
-	p.run(m*k*n, j)
+	p.gemm("MatMulTransAInto", job{kind: jobMMTA, m: m, k: k, n: n}, dst, a, b)
 }
 
 // MatMulTransAAccInto computes dst += aᵀ·b with the blocked kernel;
@@ -309,14 +303,7 @@ func (p *Parallel) MatMulTransAAccInto(dst, a, b *Tensor) {
 	}
 	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	checkDst("MatMulTransAAccInto", dst, m, n)
-	j := job{kind: jobMMTAAcc, m: m, k: k, n: n}
-	j = j.bound(dst, a, b, "MatMulTransAAccInto")
-	if j.splitCols = gemmSplitCols(m, n); j.splitCols {
-		j.units = n
-	} else {
-		j.units = m
-	}
-	p.run(m*k*n, j)
+	p.gemm("MatMulTransAAccInto", job{kind: jobMMTAAcc, m: m, k: k, n: n}, dst, a, b)
 }
 
 // MatMulTransBInto computes dst = a·bᵀ (a [m,k], b [n,k]) with the blocked
@@ -327,14 +314,7 @@ func (p *Parallel) MatMulTransBInto(dst, a, b *Tensor) {
 	}
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
 	checkDst("MatMulTransBInto", dst, m, n)
-	j := job{kind: jobMMTB, m: m, k: k, n: n}
-	j = j.bound(dst, a, b, "MatMulTransBInto")
-	if j.splitCols = gemmSplitCols(m, n); j.splitCols {
-		j.units = n
-	} else {
-		j.units = m
-	}
-	p.run(m*k*n, j)
+	p.gemm("MatMulTransBInto", job{kind: jobMMTB, m: m, k: k, n: n}, dst, a, b)
 }
 
 // Im2ColInto unfolds x [C,H,W] into dst [C·KH·KW, OH·OW] like the
@@ -346,14 +326,13 @@ func (p *Parallel) Im2ColInto(dst, x *Tensor, kh, kw, stride, pad int) {
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
 	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
 	checkDst("Im2ColInto", dst, c*kh*kw, oh*ow)
+	checkSameDType("Im2ColInto", dst.dtype, x)
 	j := job{kind: jobIm2Col, units: c,
 		c: c, h: h, w: w, kh: kh, kw: kw, stride: stride, pad: pad, oh: oh, ow: ow}
 	if dst.dtype == F32 {
-		checkSameDType("Im2ColInto", F32, x)
-		j.f32, j.dst32, j.src32 = true, dst.data32, x.data32
+		j = bind(j, operands[float32]{dst: dst.data32, src: x.data32})
 	} else {
-		checkSameDType("Im2ColInto", F64, x)
-		j.dst, j.src = dst.Data, x.Data
+		j = bind(j, operands[float64]{dst: dst.Data, src: x.Data})
 	}
 	p.run(c*kh*kw*oh*ow, j)
 }
@@ -369,14 +348,13 @@ func (p *Parallel) Col2ImInto(dst, cols *Tensor, c, h, w, kh, kw, stride, pad in
 	if len(dst.Shape) != 3 || dst.Shape[0] != c || dst.Shape[1] != h || dst.Shape[2] != w {
 		panic(fmt.Sprintf("tensor: Col2ImInto dst %v, want [%d,%d,%d]", dst.Shape, c, h, w))
 	}
+	checkSameDType("Col2ImInto", dst.dtype, cols)
 	j := job{kind: jobCol2Im, units: c,
 		c: c, h: h, w: w, kh: kh, kw: kw, stride: stride, pad: pad, oh: oh, ow: ow}
 	if dst.dtype == F32 {
-		checkSameDType("Col2ImInto", F32, cols)
-		j.f32, j.dst32, j.a32 = true, dst.data32, cols.data32
+		j = bind(j, operands[float32]{dst: dst.data32, a: cols.data32})
 	} else {
-		checkSameDType("Col2ImInto", F64, cols)
-		j.dst, j.a = dst.Data, cols.Data
+		j = bind(j, operands[float64]{dst: dst.Data, a: cols.Data})
 	}
 	p.run(c*kh*kw*oh*ow, j)
 }
@@ -390,26 +368,33 @@ func (p *Parallel) ConvForward(ar *Arena, x, w, b *Tensor, stride, pad int, cols
 	if len(x.Shape) != 4 || len(w.Shape) != 4 || x.Shape[1] != w.Shape[1] {
 		panic(fmt.Sprintf("tensor: Conv2DForward shapes x=%v w=%v", x.Shape, w.Shape))
 	}
+	checkSameDType("ConvForward", x.dtype, w, b)
 	if x.dtype == F32 {
-		return p.convForward32(ar, x, w, b, stride, pad, colsBuf)
+		return convForward[float32](p, ar, x, w, b, stride, pad, colsBuf)
 	}
+	return convForward[float64](p, ar, x, w, b, stride, pad, colsBuf)
+}
+
+func convForward[T Elem](p *Parallel, ar *Arena, x, w, b *Tensor, stride, pad int, colsBuf []*Tensor) (y *Tensor, cols []*Tensor) {
+	dt := dtypeOf[T]()
 	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	f, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
 	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(wd, kw, stride, pad)
 	fan := c * kh * kw
-	y = ar.Get(n, f, oh, ow)
+	y = ar.GetDT(dt, n, f, oh, ow)
 	cols = colsBuf[:0]
-	var bias []float64
+	var bias []T
 	if b != nil {
-		bias = b.Data
+		bias = DataOf[T](b)
 	}
+	xd, wdat, yd := DataOf[T](x), DataOf[T](w), DataOf[T](y)
 	for s := 0; s < n; s++ {
-		col := ar.Get(fan, oh*ow)
+		col := ar.GetDT(dt, fan, oh*ow)
 		cols = append(cols, col)
-		p.run(f*fan*oh*ow, job{kind: jobConvFwd, units: oh,
-			dst: y.Data[s*f*oh*ow : (s+1)*f*oh*ow], a: w.Data, b: col.Data,
-			src: x.Data[s*c*h*wd : (s+1)*c*h*wd], bias: bias, m: f,
-			c: c, h: h, w: wd, kh: kh, kw: kw, stride: stride, pad: pad, oh: oh, ow: ow})
+		p.run(f*fan*oh*ow, bind(job{kind: jobConvFwd, units: oh, m: f,
+			c: c, h: h, w: wd, kh: kh, kw: kw, stride: stride, pad: pad, oh: oh, ow: ow},
+			operands[T]{dst: yd[s*f*oh*ow : (s+1)*f*oh*ow], a: wdat, b: DataOf[T](col),
+				src: xd[s*c*h*wd : (s+1)*c*h*wd], bias: bias}))
 	}
 	return y, cols
 }
@@ -420,39 +405,41 @@ func (p *Parallel) ConvForward(ar *Arena, x, w, b *Tensor, stride, pad int, cols
 // Buffer semantics and results are identical to Conv2DBackwardArena at any
 // worker count.
 func (p *Parallel) ConvBackward(ar *Arena, dy, w *Tensor, cols []*Tensor, dw, db *Tensor, xShape []int, stride, pad int) (dx *Tensor) {
+	checkSameDType("ConvBackward", dy.dtype, w, dw, db)
 	if dy.dtype == F32 {
-		return p.convBackward32(ar, dy, w, cols, dw, db, xShape, stride, pad)
+		return convBackward[float32](p, ar, dy, w, cols, dw, db, xShape, stride, pad)
 	}
+	return convBackward[float64](p, ar, dy, w, cols, dw, db, xShape, stride, pad)
+}
+
+func convBackward[T Elem](p *Parallel, ar *Arena, dy, w *Tensor, cols []*Tensor, dw, db *Tensor, xShape []int, stride, pad int) (dx *Tensor) {
+	dt := dtypeOf[T]()
 	n, c, h, wd := xShape[0], xShape[1], xShape[2], xShape[3]
 	f, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
 	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(wd, kw, stride, pad)
 	fan := c * kh * kw
 	ohow := oh * ow
-	dx = ar.Get(n, c, h, wd)
-	dcols := ar.Get(fan, ohow)
+	dx = ar.GetDT(dt, n, c, h, wd)
+	dcols := ar.GetDT(dt, fan, ohow)
+	dyd, wdat, dwd := DataOf[T](dy), DataOf[T](w), DataOf[T](dw)
+	dxd, dcd := DataOf[T](dx), DataOf[T](dcols)
 	for s := 0; s < n; s++ {
-		dys := dy.Data[s*f*ohow : (s+1)*f*ohow]
+		dys := dyd[s*f*ohow : (s+1)*f*ohow]
 		// dW += dy · colsᵀ, one filter row per unit (accumulation order per
 		// element matches matMulTransBSlicesAcc).
-		p.run(f*ohow*fan, job{kind: jobMMTBAcc, units: f,
-			dst: dw.Data, a: dys, b: cols[s].Data, m: f, k: ohow, n: fan})
+		p.run(f*ohow*fan, bind(job{kind: jobMMTBAcc, units: f, m: f, k: ohow, n: fan},
+			operands[T]{dst: dwd, a: dys, b: DataOf[T](cols[s])}))
 		if db != nil {
-			for ff := 0; ff < f; ff++ {
-				sum := 0.0
-				for _, v := range dys[ff*ohow : (ff+1)*ohow] {
-					sum += v
-				}
-				db.Data[ff] += sum
-			}
+			accRowSums(DataOf[T](db), dys, ohow)
 		}
 		// dcols = wᵀ · dy, split by im2col row.
-		p.run(f*fan*ohow, job{kind: jobMMTA, units: fan,
-			dst: dcols.Data, a: w.Data, b: dys, m: fan, k: f, n: ohow})
+		p.run(f*fan*ohow, bind(job{kind: jobMMTA, units: fan, m: fan, k: f, n: ohow},
+			operands[T]{dst: dcd, a: wdat, b: dys}))
 		// Fold back to image space, one channel plane per unit (each worker
 		// zeroes its own planes).
-		p.run(fan*ohow, job{kind: jobCol2Im, units: c,
-			dst: dx.Data[s*c*h*wd : (s+1)*c*h*wd], a: dcols.Data,
-			c: c, h: h, w: wd, kh: kh, kw: kw, stride: stride, pad: pad, oh: oh, ow: ow})
+		p.run(fan*ohow, bind(job{kind: jobCol2Im, units: c,
+			c: c, h: h, w: wd, kh: kh, kw: kw, stride: stride, pad: pad, oh: oh, ow: ow},
+			operands[T]{dst: dxd[s*c*h*wd : (s+1)*c*h*wd], a: dcd}))
 	}
 	ar.Put(dcols)
 	return dx

@@ -2,17 +2,18 @@ package tensor
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // forceParallel routes every kernel through the worker fan-out regardless of
 // size, restoring the grain threshold on cleanup — edge shapes must exercise
 // the tiled path, not the serial cutover.
-func forceParallel(t *testing.T) {
-	t.Helper()
+func forceParallel(tb testing.TB) {
+	tb.Helper()
 	old := parGrainFLOPs
 	parGrainFLOPs = 0
-	t.Cleanup(func() { parGrainFLOPs = old })
+	tb.Cleanup(func() { parGrainFLOPs = old })
 }
 
 // testGroups yields the worker counts the equivalence properties run at:
@@ -29,26 +30,29 @@ func testGroups(t *testing.T) []*Parallel {
 	return groups
 }
 
-func randTensor(rng *rand.Rand, shape ...int) *Tensor {
-	x := New(shape...)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
+// randOf draws a tensor of T's dtype whose values are T casts of normal
+// draws — the standard input for the equivalence matrices.
+func randOf[T Elem](rng *rand.Rand, shape ...int) *Tensor {
+	x := NewDT(dtypeOf[T](), shape...)
+	d := DataOf[T](x)
+	for i := range d {
+		d[i] = T(rng.NormFloat64())
 	}
 	return x
 }
 
-// bitEqual reports exact float64 equality element-wise (the determinism
-// contract is bit-identity, not closeness).
+func randTensor(rng *rand.Rand, shape ...int) *Tensor { return randOf[float64](rng, shape...) }
+
+// bitEqual reports exact element-wise equality of two same-dtype tensors
+// (the determinism contract is bit-identity, not closeness).
 func bitEqual(a, b *Tensor) bool {
-	if len(a.Data) != len(b.Data) {
+	if a.dtype != b.dtype {
 		return false
 	}
-	for i, v := range a.Data {
-		if v != b.Data[i] {
-			return false
-		}
+	if a.dtype == F32 {
+		return slices.Equal(a.data32, b.data32)
 	}
-	return true
+	return slices.Equal(a.Data, b.Data)
 }
 
 // gemmShapes are the property-test shapes: randomized sizes plus the edge
@@ -65,49 +69,132 @@ func gemmShapes(rng *rand.Rand) [][3]int {
 	return shapes
 }
 
+// checkGEMMForms runs all five GEMM forms through p and through the
+// package-level kernels and fails unless each is bit-identical to the scalar
+// reference kernel at T. The a·bᵀ-accumulate form has no exported entry of
+// its own (conv backward uses it), so it is dispatched as a job directly.
+func checkGEMMForms[T Elem](t *testing.T, rng *rand.Rand, p *Parallel, m, k, n int) {
+	t.Helper()
+	dt := dtypeOf[T]()
+	a, b := randOf[T](rng, m, k), randOf[T](rng, k, n)
+	at, bt := randOf[T](rng, k, m), randOf[T](rng, n, k) // for the ᵀa / bᵀ forms
+	acc0 := randOf[T](rng, m, n)
+	ref := func(f func(dst, a, b []T, x, y, z int), dst, a, b *Tensor, x, y, z int) *Tensor {
+		f(DataOf[T](dst), DataOf[T](a), DataOf[T](b), x, y, z)
+		return dst
+	}
+	wantMM := ref(matMulSlices[T], NewDT(dt, m, n), a, b, m, k, n)
+	wantTA := ref(matMulTransASlices[T], NewDT(dt, m, n), at, b, k, m, n)
+	wantTAAcc := ref(matMulTransASlicesAcc[T], acc0.Clone(), at, b, k, m, n)
+	wantTB := ref(matMulTransBSlices[T], NewDT(dt, m, n), a, bt, m, k, n)
+	wantTBAcc := ref(matMulTransBSlicesAcc[T], acc0.Clone(), a, bt, m, k, n)
+
+	check := func(form string, got, want *Tensor) {
+		t.Helper()
+		if !bitEqual(got, want) {
+			t.Fatalf("%s %s m=%d k=%d n=%d workers=%d deviates from reference", form, dt, m, k, n, p.Workers())
+		}
+	}
+	got := NewDT(dt, m, n)
+	p.MatMulInto(got, a, b)
+	check("MatMul", got, wantMM)
+	p.MatMulTransAInto(got, at, b)
+	check("MatMulTransA", got, wantTA)
+	gotAcc := acc0.Clone()
+	p.MatMulTransAAccInto(gotAcc, at, b)
+	check("MatMulTransAAcc", gotAcc, wantTAAcc)
+	p.MatMulTransBInto(got, a, bt)
+	check("MatMulTransB", got, wantTB)
+	gotAcc = acc0.Clone()
+	p.run(m*k*n, bind(job{kind: jobMMTBAcc, units: m, m: m, k: k, n: n},
+		operands[T]{dst: DataOf[T](gotAcc), a: DataOf[T](a), b: DataOf[T](bt)}))
+	check("MatMulTransBAcc", gotAcc, wantTBAcc)
+
+	// The package-level Into forms dispatch to the same scalar kernels.
+	MatMulInto(got, a, b)
+	check("package MatMulInto", got, wantMM)
+	MatMulTransAInto(got, at, b)
+	check("package MatMulTransAInto", got, wantTA)
+	gotAcc = acc0.Clone()
+	MatMulTransAAccInto(gotAcc, at, b)
+	check("package MatMulTransAAccInto", gotAcc, wantTAAcc)
+	MatMulTransBInto(got, a, bt)
+	check("package MatMulTransBInto", got, wantTB)
+}
+
 // TestBlockedGEMMMatchesReference proves the blocked, parallel GEMM kernels
 // bit-identical to the reference scalar kernels for every transpose form,
-// across randomized and edge shapes and worker counts 1/2/8.
+// across randomized and edge shapes, worker counts 1/2/8 and both dtypes
+// (at f32 this includes the AVX microkernel on GOAMD64=v3 builds).
 func TestBlockedGEMMMatchesReference(t *testing.T) {
+	t.Run("f64", testBlockedGEMM[float64])
+	t.Run("f32", testBlockedGEMM[float32])
+}
+
+func testBlockedGEMM[T Elem](t *testing.T) {
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(42))
 	groups := testGroups(t)
 	for _, sh := range gemmShapes(rng) {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := randTensor(rng, m, k)
-		b := randTensor(rng, k, n)
-		at := randTensor(rng, k, m) // for the ᵀa form
-		bt := randTensor(rng, n, k) // for the bᵀ form
-		acc0 := randTensor(rng, m, n)
-
-		wantMM := New(m, n)
-		matMulSlices(wantMM.Data, a.Data, b.Data, m, k, n)
-		wantTA := New(m, n)
-		matMulTransASlices(wantTA.Data, at.Data, b.Data, k, m, n)
-		wantTAAcc := acc0.Clone()
-		matMulTransASlicesAcc(wantTAAcc.Data, at.Data, b.Data, k, m, n)
-		wantTB := New(m, n)
-		matMulTransBSlices(wantTB.Data, a.Data, bt.Data, m, k, n)
-
 		for _, p := range groups {
-			got := New(m, n)
-			p.MatMulInto(got, a, b)
-			if !bitEqual(got, wantMM) {
-				t.Fatalf("MatMul m=%d k=%d n=%d workers=%d deviates from reference", m, k, n, p.Workers())
-			}
-			p.MatMulTransAInto(got, at, b)
-			if !bitEqual(got, wantTA) {
-				t.Fatalf("MatMulTransA m=%d k=%d n=%d workers=%d deviates", m, k, n, p.Workers())
-			}
-			gotAcc := acc0.Clone()
-			p.MatMulTransAAccInto(gotAcc, at, b)
-			if !bitEqual(gotAcc, wantTAAcc) {
-				t.Fatalf("MatMulTransAAcc m=%d k=%d n=%d workers=%d deviates", m, k, n, p.Workers())
-			}
-			p.MatMulTransBInto(got, a, bt)
-			if !bitEqual(got, wantTB) {
-				t.Fatalf("MatMulTransB m=%d k=%d n=%d workers=%d deviates", m, k, n, p.Workers())
-			}
+			checkGEMMForms[T](t, rng, p, sh[0], sh[1], sh[2])
+		}
+	}
+}
+
+// FuzzBlockedMatchesReference is the differential fuzz target of the kernel
+// layer: for a generated dtype, m, k, n in [1, 48] and worker count in
+// {1, 2, 3, 4}, all five GEMM forms and the fused conv forward of a geometry
+// derived from the same numbers must be bit-identical to the scalar
+// reference. The seed corpus below runs under plain `go test`; fuzz with
+// `go test -fuzz FuzzBlockedMatchesReference ./internal/tensor`.
+func FuzzBlockedMatchesReference(f *testing.F) {
+	forceParallel(f)
+	for _, s := range []struct {
+		f32              bool
+		m, k, n, workers uint8
+	}{
+		{false, 1, 1, 1, 1},   // unit everything
+		{true, 3, 3, 5, 2},    // k < 4: no 4-step pass at all
+		{true, 7, 9, 8, 3},    // odd m, n = 8: the axpy prefix is the whole row
+		{true, 2, 4, 7, 4},    // n < 8: no axpy prefix
+		{false, 5, 13, 17, 3}, // odd m, k and n, remainders everywhere
+		{true, 1, 48, 48, 4},  // one row (the batch-1 GEMV shape), split by columns
+		{true, 48, 6, 9, 2},   // tall: split by rows, n = 8 + 1
+		{false, 33, 2, 31, 4}, // k < 4 at f64
+	} {
+		f.Add(s.f32, s.m, s.k, s.n, s.workers, int64(s.m)*7919+int64(s.n))
+	}
+	f.Fuzz(func(t *testing.T, f32 bool, mb, kb, nb, wb uint8, seed int64) {
+		m, k, n := 1+int(mb)%48, 1+int(kb)%48, 1+int(nb)%48
+		p := NewParallel(1 + int(wb)%4)
+		defer p.Close()
+		rng := rand.New(rand.NewSource(seed))
+		if f32 {
+			fuzzBlocked[float32](t, rng, p, m, k, n)
+		} else {
+			fuzzBlocked[float64](t, rng, p, m, k, n)
+		}
+	})
+}
+
+func fuzzBlocked[T Elem](t *testing.T, rng *rand.Rand, p *Parallel, m, k, n int) {
+	checkGEMMForms[T](t, rng, p, m, k, n)
+	// A conv geometry derived from the GEMM sizes: 1–4 channels, 3–8 pixel
+	// planes, 1×1 or 3×3 kernels, stride 1–2, with and without padding.
+	tc := convCase{c: 1 + k%4, h: 3 + n%6, f: 1 + m%5, kh: 1 + 2*(k%2), stride: 1 + m%2, pad: n % 2}
+	tc.w = tc.h
+	x := randOf[T](rng, 1+m%2, tc.c, tc.h, tc.w)
+	w := randOf[T](rng, tc.f, tc.c, tc.kh, tc.kh)
+	bias := randOf[T](rng, tc.f)
+	yRef, colsRef := Conv2DForward(x, w, bias, tc.stride, tc.pad)
+	y, cols := p.ConvForward(NewArena(), x, w, bias, tc.stride, tc.pad, nil)
+	if !bitEqual(y, yRef) {
+		t.Fatalf("fused ConvForward %+v workers=%d output deviates from reference", tc, p.Workers())
+	}
+	for s := range cols {
+		if !bitEqual(cols[s], colsRef[s]) {
+			t.Fatalf("fused ConvForward %+v workers=%d im2col deviates from reference", tc, p.Workers())
 		}
 	}
 }
@@ -133,35 +220,48 @@ func convCases() []convCase {
 
 // TestParallelConvMatchesReference proves the fused parallel conv forward
 // and backward bit-identical to the scalar im2col reference
-// (Conv2DForwardArena / Conv2DBackwardArena) across geometries and worker
-// counts, including the produced im2col matrices the backward pass stores.
+// (Conv2DForwardArena / Conv2DBackwardArena) across geometries, worker
+// counts and both dtypes, including the produced im2col matrices the
+// backward pass stores — and pooled ≡ unpooled: the arena path must be
+// bit-identical to the nil-arena path.
 func TestParallelConvMatchesReference(t *testing.T) {
+	t.Run("f64", testParallelConv[float64])
+	t.Run("f32", testParallelConv[float32])
+}
+
+func testParallelConv[T Elem](t *testing.T) {
 	forceParallel(t)
+	dt := dtypeOf[T]()
 	rng := rand.New(rand.NewSource(43))
 	groups := testGroups(t)
 	for _, tc := range convCases() {
-		x := randTensor(rng, 1, tc.c, tc.h, tc.w)
-		w := randTensor(rng, tc.f, tc.c, tc.kh, tc.kh)
-		bias := randTensor(rng, tc.f)
+		x := randOf[T](rng, 1, tc.c, tc.h, tc.w)
+		w := randOf[T](rng, tc.f, tc.c, tc.kh, tc.kh)
+		bias := randOf[T](rng, tc.f)
 		yRef, colsRef := Conv2DForward(x, w, bias, tc.stride, tc.pad)
-		dy := randTensor(rng, yRef.Shape...)
-		dwRef, dbRef := New(w.Shape...), New(tc.f)
+		if yRef.DType() != dt {
+			t.Fatal("Conv2DForward did not preserve dtype")
+		}
+		dy := randOf[T](rng, yRef.Shape...)
+		dwRef, dbRef := NewDT(dt, w.Shape...), NewDT(dt, tc.f)
 		dxRef := Conv2DBackward(dy, w, colsRef, dwRef, dbRef, x.Shape, tc.stride, tc.pad)
 
 		for _, p := range groups {
-			y, cols := p.ConvForward(nil, x, w, bias, tc.stride, tc.pad, nil)
-			if !bitEqual(y, yRef) {
-				t.Fatalf("ConvForward %+v workers=%d output deviates", tc, p.Workers())
-			}
-			for s := range cols {
-				if !bitEqual(cols[s], colsRef[s]) {
-					t.Fatalf("ConvForward %+v workers=%d im2col deviates", tc, p.Workers())
+			for _, ar := range []*Arena{nil, NewArena()} {
+				y, cols := p.ConvForward(ar, x, w, bias, tc.stride, tc.pad, nil)
+				if !bitEqual(y, yRef) {
+					t.Fatalf("ConvForward %+v workers=%d arena=%v output deviates", tc, p.Workers(), ar != nil)
 				}
-			}
-			dw, db := New(w.Shape...), New(tc.f)
-			dx := p.ConvBackward(nil, dy, w, cols, dw, db, x.Shape, tc.stride, tc.pad)
-			if !bitEqual(dx, dxRef) || !bitEqual(dw, dwRef) || !bitEqual(db, dbRef) {
-				t.Fatalf("ConvBackward %+v workers=%d gradients deviate", tc, p.Workers())
+				for s := range cols {
+					if !bitEqual(cols[s], colsRef[s]) {
+						t.Fatalf("ConvForward %+v workers=%d im2col deviates", tc, p.Workers())
+					}
+				}
+				dw, db := NewDT(dt, w.Shape...), NewDT(dt, tc.f)
+				dx := p.ConvBackward(ar, dy, w, cols, dw, db, x.Shape, tc.stride, tc.pad)
+				if !bitEqual(dx, dxRef) || !bitEqual(dw, dwRef) || !bitEqual(db, dbRef) {
+					t.Fatalf("ConvBackward %+v workers=%d arena=%v gradients deviate", tc, p.Workers(), ar != nil)
+				}
 			}
 		}
 	}
@@ -194,22 +294,31 @@ func TestConv2DNaiveMatchesIm2Col(t *testing.T) {
 }
 
 // TestParallelIm2ColCol2ImMatchesReference checks the standalone unfold/fold
-// kernels against their scalar references across worker counts.
+// kernels against their scalar references across worker counts and dtypes.
 func TestParallelIm2ColCol2ImMatchesReference(t *testing.T) {
+	t.Run("f64", testParallelIm2ColCol2Im[float64])
+	t.Run("f32", testParallelIm2ColCol2Im[float32])
+}
+
+func testParallelIm2ColCol2Im[T Elem](t *testing.T) {
 	forceParallel(t)
+	dt := dtypeOf[T]()
 	rng := rand.New(rand.NewSource(45))
 	groups := testGroups(t)
 	for _, tc := range convCases() {
-		x := randTensor(rng, tc.c, tc.h, tc.w)
+		x := randOf[T](rng, tc.c, tc.h, tc.w)
 		want := Im2Col(x, tc.kh, tc.kh, tc.stride, tc.pad)
 		backWant := Col2Im(want, tc.c, tc.h, tc.w, tc.kh, tc.kh, tc.stride, tc.pad)
+		if want.DType() != dt || backWant.DType() != dt {
+			t.Fatal("Im2Col/Col2Im did not preserve dtype")
+		}
 		for _, p := range groups {
-			got := New(want.Shape...)
+			got := NewDT(dt, want.Shape...)
 			p.Im2ColInto(got, x, tc.kh, tc.kh, tc.stride, tc.pad)
 			if !bitEqual(got, want) {
 				t.Fatalf("Im2Col %+v workers=%d deviates", tc, p.Workers())
 			}
-			back := New(tc.c, tc.h, tc.w)
+			back := NewDT(dt, tc.c, tc.h, tc.w)
 			p.Col2ImInto(back, got, tc.c, tc.h, tc.w, tc.kh, tc.kh, tc.stride, tc.pad)
 			if !bitEqual(back, backWant) {
 				t.Fatalf("Col2Im %+v workers=%d deviates", tc, p.Workers())
@@ -251,8 +360,8 @@ func TestParallelLifecycle(t *testing.T) {
 }
 
 // TestParallelSteadyStateAllocs locks in that kernel dispatch through a
-// worker group allocates nothing: pre-spawned workers, reused signal
-// channels, no per-call closures.
+// worker group allocates nothing at either dtype: pre-spawned workers,
+// reused signal channels, no per-call closures or operand boxing.
 func TestParallelSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
@@ -261,25 +370,28 @@ func TestParallelSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	p := NewParallel(4)
 	defer p.Close()
-	a, b := randTensor(rng, 32, 32), randTensor(rng, 32, 32)
-	dst := New(32, 32)
-	ar := NewArena()
-	x := randTensor(rng, 1, 4, 10, 10)
-	w := randTensor(rng, 4, 4, 3, 3)
-	dwT := New(4, 4, 3, 3)
-	colsBuf := make([]*Tensor, 0, 1)
-	warm := func() {
-		p.MatMulInto(dst, a, b)
-		y, cols := p.ConvForward(ar, x, w, nil, 1, 1, colsBuf)
-		colsBuf = cols[:0]
-		dx := p.ConvBackward(ar, y, w, cols, dwT, nil, x.Shape, 1, 1)
-		ar.Put(y, dx)
-		ar.Put(cols...)
-	}
-	for i := 0; i < 3; i++ {
-		warm()
-	}
-	if allocs := testing.AllocsPerRun(50, warm); allocs > 0 {
-		t.Errorf("parallel kernel dispatch allocates %v per call, want 0", allocs)
+	for _, dt := range []DType{F64, F32} {
+		a := randTensor(rng, 32, 32).ConvertTo(dt)
+		b := randTensor(rng, 32, 32).ConvertTo(dt)
+		dst := NewDT(dt, 32, 32)
+		ar := NewArena()
+		x := randTensor(rng, 1, 4, 10, 10).ConvertTo(dt)
+		w := randTensor(rng, 4, 4, 3, 3).ConvertTo(dt)
+		dwT := NewDT(dt, 4, 4, 3, 3)
+		colsBuf := make([]*Tensor, 0, 1)
+		warm := func() {
+			p.MatMulInto(dst, a, b)
+			y, cols := p.ConvForward(ar, x, w, nil, 1, 1, colsBuf)
+			colsBuf = cols[:0]
+			dx := p.ConvBackward(ar, y, w, cols, dwT, nil, x.Shape, 1, 1)
+			ar.Put(y, dx)
+			ar.Put(cols...)
+		}
+		for i := 0; i < 3; i++ {
+			warm()
+		}
+		if allocs := testing.AllocsPerRun(50, warm); allocs > 0 {
+			t.Errorf("%s parallel kernel dispatch allocates %v per call, want 0", dt, allocs)
+		}
 	}
 }

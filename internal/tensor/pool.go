@@ -23,35 +23,39 @@ func MaxPool2DForwardInto(y *Tensor, argmax []int, x *Tensor, k, stride int) {
 	if len(argmax) != n*c*oh*ow {
 		panic(fmt.Sprintf("tensor: MaxPool2DForwardInto argmax len %d, want %d", len(argmax), n*c*oh*ow))
 	}
+	checkSameDType("MaxPool2DForwardInto", y.dtype, x)
 	if y.dtype == F32 {
-		maxPool2DForwardInto32(y, argmax, x, k, stride)
+		maxPool(y.data32, argmax, x.data32, n*c, h, w, k, stride, oh, ow)
 		return
 	}
-	checkSameDType("MaxPool2DForwardInto", F64, x)
+	maxPool(y.Data, argmax, x.Data, n*c, h, w, k, stride, oh, ow)
+}
+
+// maxPool pools each of the planes [h,w] of x into y, recording the flat
+// index of every winner (the first maximum in scan order).
+func maxPool[T Elem](y []T, argmax []int, x []T, planes, h, w, k, stride, oh, ow int) {
 	oi := 0
-	for s := 0; s < n; s++ {
-		for ch := 0; ch < c; ch++ {
-			base := (s*c + ch) * h * w
-			for i := 0; i < oh; i++ {
-				for j := 0; j < ow; j++ {
-					best := -1
-					bv := 0.0
-					for ki := 0; ki < k; ki++ {
-						for kj := 0; kj < k; kj++ {
-							ii, jj := i*stride+ki, j*stride+kj
-							if ii >= h || jj >= w {
-								continue
-							}
-							idx := base + ii*w + jj
-							if best == -1 || x.Data[idx] > bv {
-								best, bv = idx, x.Data[idx]
-							}
+	for pl := 0; pl < planes; pl++ {
+		base := pl * h * w
+		for i := 0; i < oh; i++ {
+			for j := 0; j < ow; j++ {
+				best := -1
+				var bv T
+				for ki := 0; ki < k; ki++ {
+					for kj := 0; kj < k; kj++ {
+						ii, jj := i*stride+ki, j*stride+kj
+						if ii >= h || jj >= w {
+							continue
+						}
+						idx := base + ii*w + jj
+						if best == -1 || x[idx] > bv {
+							best, bv = idx, x[idx]
 						}
 					}
-					y.Data[oi] = bv
-					argmax[oi] = best
-					oi++
 				}
+				y[oi] = bv
+				argmax[oi] = best
+				oi++
 			}
 		}
 	}
@@ -76,14 +80,19 @@ func MaxPool2DBackwardInto(dx, dy *Tensor, argmax []int) {
 	if dy.Size() != len(argmax) {
 		panic(fmt.Sprintf("tensor: MaxPool2DBackwardInto dy size %d, argmax len %d", dy.Size(), len(argmax)))
 	}
+	checkSameDType("MaxPool2DBackwardInto", dx.dtype, dy)
 	dx.Zero()
 	if dx.dtype == F32 {
-		maxPool2DBackwardInto32(dx, dy, argmax)
+		scatterAdd(dx.data32, dy.data32, argmax)
 		return
 	}
-	checkSameDType("MaxPool2DBackwardInto", F64, dy)
-	for i, idx := range argmax {
-		dx.Data[idx] += dy.Data[i]
+	scatterAdd(dx.Data, dy.Data, argmax)
+}
+
+// scatterAdd adds src[i] into dst[idx[i]] for every i.
+func scatterAdd[T Elem](dst, src []T, idx []int) {
+	for i, j := range idx {
+		dst[j] += src[i]
 	}
 }
 
@@ -101,21 +110,23 @@ func GlobalAvgPoolForwardInto(y, x *Tensor) {
 	check4D("GlobalAvgPool", x)
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	checkDst("GlobalAvgPoolForwardInto", y, n, c)
+	checkSameDType("GlobalAvgPoolForwardInto", y.dtype, x)
 	if y.dtype == F32 {
-		globalAvgPoolForwardInto32(y, x)
+		planeMeans(y.data32, x.data32, h*w)
 		return
 	}
-	checkSameDType("GlobalAvgPoolForwardInto", F64, x)
-	hw := float64(h * w)
-	for s := 0; s < n; s++ {
-		for ch := 0; ch < c; ch++ {
-			base := (s*c + ch) * h * w
-			sum := 0.0
-			for k := 0; k < h*w; k++ {
-				sum += x.Data[base+k]
-			}
-			y.Data[s*c+ch] = sum / hw
+	planeMeans(y.Data, x.Data, h*w)
+}
+
+// planeMeans writes the mean of each hw-element plane of x into y: the sum
+// runs in T in scan order, then one divide per plane.
+func planeMeans[T Elem](y, x []T, hw int) {
+	for pl := range y {
+		var sum T
+		for _, v := range x[pl*hw : (pl+1)*hw] {
+			sum += v
 		}
+		y[pl] = sum / T(hw)
 	}
 }
 
@@ -135,20 +146,19 @@ func GlobalAvgPoolBackwardInto(dx, dy *Tensor) {
 	if dy.Size() != n*c {
 		panic(fmt.Sprintf("tensor: GlobalAvgPoolBackwardInto dy %v, want %d elements for dx %v", dy.Shape, n*c, dx.Shape))
 	}
+	checkSameDType("GlobalAvgPoolBackwardInto", dx.dtype, dy)
 	if dx.dtype == F32 {
-		globalAvgPoolBackwardInto32(dx, dy)
+		spreadMeans(dx.data32, dy.data32, h*w)
 		return
 	}
-	checkSameDType("GlobalAvgPoolBackwardInto", F64, dy)
-	hw := float64(h * w)
-	for s := 0; s < n; s++ {
-		for ch := 0; ch < c; ch++ {
-			g := dy.Data[s*c+ch] / hw
-			base := (s*c + ch) * h * w
-			for k := 0; k < h*w; k++ {
-				dx.Data[base+k] = g
-			}
-		}
+	spreadMeans(dx.Data, dy.Data, h*w)
+}
+
+// spreadMeans is the adjoint of planeMeans: every element of plane pl of dx
+// becomes dy[pl]/hw.
+func spreadMeans[T Elem](dx, dy []T, hw int) {
+	for pl, d := range dy {
+		fill(dx[pl*hw:(pl+1)*hw], d/T(hw))
 	}
 }
 
@@ -180,26 +190,30 @@ func AvgPool2DForwardInto(y, x *Tensor, k int) {
 	if len(y.Shape) != 4 || y.Shape[0] != n || y.Shape[1] != c || y.Shape[2] != oh || y.Shape[3] != ow {
 		panic(fmt.Sprintf("tensor: AvgPool2DForwardInto dst %v, want [%d,%d,%d,%d]", y.Shape, n, c, oh, ow))
 	}
+	checkSameDType("AvgPool2DForwardInto", y.dtype, x)
 	if y.dtype == F32 {
-		avgPool2DForwardInto32(y, x, k)
+		avgPool(y.data32, x.data32, n*c, h, w, k)
 		return
 	}
-	checkSameDType("AvgPool2DForwardInto", F64, x)
-	kk := float64(k * k)
-	for s := 0; s < n; s++ {
-		for ch := 0; ch < c; ch++ {
-			base := (s*c + ch) * h * w
-			obase := (s*c + ch) * oh * ow
-			for i := 0; i < oh; i++ {
-				for j := 0; j < ow; j++ {
-					sum := 0.0
-					for ki := 0; ki < k; ki++ {
-						for kj := 0; kj < k; kj++ {
-							sum += x.Data[base+(i*k+ki)*w+(j*k+kj)]
-						}
+	avgPool(y.Data, x.Data, n*c, h, w, k)
+}
+
+// avgPool averages the non-overlapping k×k windows of each plane [h,w] of
+// x into y.
+func avgPool[T Elem](y, x []T, planes, h, w, k int) {
+	oh, ow := h/k, w/k
+	kk := T(k * k)
+	for pl := 0; pl < planes; pl++ {
+		base, obase := pl*h*w, pl*oh*ow
+		for i := 0; i < oh; i++ {
+			for j := 0; j < ow; j++ {
+				var sum T
+				for ki := 0; ki < k; ki++ {
+					for kj := 0; kj < k; kj++ {
+						sum += x[base+(i*k+ki)*w+(j*k+kj)]
 					}
-					y.Data[obase+i*ow+j] = sum / kk
 				}
+				y[obase+i*ow+j] = sum / kk
 			}
 		}
 	}
@@ -227,23 +241,27 @@ func AvgPool2DBackwardInto(dx, dy *Tensor, k int) {
 	if dy.Size() != n*c*oh*ow {
 		panic(fmt.Sprintf("tensor: AvgPool2DBackwardInto dy %v, want %d elements for dx %v pool %d", dy.Shape, n*c*oh*ow, dx.Shape, k))
 	}
+	checkSameDType("AvgPool2DBackwardInto", dx.dtype, dy)
 	if dx.dtype == F32 {
-		avgPool2DBackwardInto32(dx, dy, k)
+		avgPoolGrad(dx.data32, dy.data32, n*c, h, w, k)
 		return
 	}
-	checkSameDType("AvgPool2DBackwardInto", F64, dy)
-	kk := float64(k * k)
-	for s := 0; s < n; s++ {
-		for ch := 0; ch < c; ch++ {
-			base := (s*c + ch) * h * w
-			obase := (s*c + ch) * oh * ow
-			for i := 0; i < oh; i++ {
-				for j := 0; j < ow; j++ {
-					g := dy.Data[obase+i*ow+j] / kk
-					for ki := 0; ki < k; ki++ {
-						for kj := 0; kj < k; kj++ {
-							dx.Data[base+(i*k+ki)*w+(j*k+kj)] = g
-						}
+	avgPoolGrad(dx.Data, dy.Data, n*c, h, w, k)
+}
+
+// avgPoolGrad is the adjoint of avgPool: each window of dx becomes its
+// output gradient divided by k².
+func avgPoolGrad[T Elem](dx, dy []T, planes, h, w, k int) {
+	oh, ow := h/k, w/k
+	kk := T(k * k)
+	for pl := 0; pl < planes; pl++ {
+		base, obase := pl*h*w, pl*oh*ow
+		for i := 0; i < oh; i++ {
+			for j := 0; j < ow; j++ {
+				g := dy[obase+i*ow+j] / kk
+				for ki := 0; ki < k; ki++ {
+					for kj := 0; kj < k; kj++ {
+						dx[base+(i*k+ki)*w+(j*k+kj)] = g
 					}
 				}
 			}

@@ -1,7 +1,9 @@
-// Package tensor provides dense float64 tensors and the numeric kernels
-// (matmul, conv2d, pooling) used by the neural-network layers in this
-// repository. Layout is row-major; convolutional tensors use NCHW and
-// dense tensors use [N, F]. The package is intentionally small: it is the
+// Package tensor provides dense float64 and float32 tensors and the numeric
+// kernels (matmul, conv2d, pooling) used by the neural-network layers in
+// this repository. Layout is row-major; convolutional tensors use NCHW and
+// dense tensors use [N, F]. Every kernel is written once, generic over Elem;
+// exported entry points switch on the tensor's DType once and call the
+// matching instantiation. The package is intentionally small: it is the
 // pure-Go substitute for the cuDNN kernels used by the paper's GProp
 // framework (see DESIGN.md, substitution table).
 package tensor
@@ -96,33 +98,14 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 
 // Clone returns a deep copy of t.
 func (t *Tensor) Clone() *Tensor {
-	if t.dtype == F32 {
-		c := New32(t.Shape...)
-		copy(c.data32, t.data32)
-		return c
-	}
-	c := New(t.Shape...)
-	copy(c.Data, t.Data)
+	c := NewDT(t.dtype, t.Shape...)
+	c.CopyFrom(t)
 	return c
 }
 
 // CopyFrom copies o's data into t. Shapes must have equal sizes and dtypes
 // must match.
-func (t *Tensor) CopyFrom(o *Tensor) {
-	if t.dtype == F32 {
-		checkSameDType("CopyFrom", F32, o)
-		if len(t.data32) != len(o.data32) {
-			panic(fmt.Sprintf("tensor: CopyFrom size mismatch %v vs %v", t.Shape, o.Shape))
-		}
-		copy(t.data32, o.data32)
-		return
-	}
-	checkSameDType("CopyFrom", F64, o)
-	if len(t.Data) != len(o.Data) {
-		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %v vs %v", t.Shape, o.Shape))
-	}
-	copy(t.Data, o.Data)
-}
+func (t *Tensor) CopyFrom(o *Tensor) { zip("CopyFrom", t, o, copyInto[float32], copyInto[float64]) }
 
 // Reshape returns a view of t with a new shape sharing the same data.
 // It panics if the element counts differ.
@@ -139,31 +122,20 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{Shape: s, Data: t.Data, data32: t.data32, dtype: t.dtype}
 }
 
-// Zero sets all elements to zero.
+// Zero sets all elements to zero. Only one backing slice is non-nil, and
+// clearing a nil slice is a no-op, so no dtype switch is needed.
 func (t *Tensor) Zero() {
-	if t.dtype == F32 {
-		for i := range t.data32 {
-			t.data32[i] = 0
-		}
-		return
-	}
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
+	clear(t.Data)
+	clear(t.data32)
 }
 
 // Fill sets all elements to v (converted to t's dtype).
 func (t *Tensor) Fill(v float64) {
 	if t.dtype == F32 {
-		v32 := float32(v)
-		for i := range t.data32 {
-			t.data32[i] = v32
-		}
+		fill(t.data32, float32(v))
 		return
 	}
-	for i := range t.Data {
-		t.Data[i] = v
-	}
+	fill(t.Data, v)
 }
 
 // offset computes the flat index of a multi-dimensional index.
@@ -199,121 +171,93 @@ func (t *Tensor) Set(v float64, idx ...int) {
 	t.Data[t.offset(idx)] = v
 }
 
-// Add adds o element-wise into t (t += o).
-func (t *Tensor) Add(o *Tensor) {
+// zip checks that o matches t's dtype and size, then runs the instantiation
+// of f for that dtype over t's and o's storage — the one dtype switch
+// behind every binary element-wise method.
+func zip(op string, t, o *Tensor, f32 func(dst, src []float32), f64 func(dst, src []float64)) {
+	checkSameDType(op, t.dtype, o)
+	if t.Size() != o.Size() {
+		panic(fmt.Sprintf("tensor: %s size mismatch %v vs %v", op, t.Shape, o.Shape))
+	}
 	if t.dtype == F32 {
-		checkSameDType("Add", F32, o)
-		if len(t.data32) != len(o.data32) {
-			panic("tensor: Add size mismatch")
-		}
-		for i, v := range o.data32 {
-			t.data32[i] += v
-		}
+		f32(t.data32, o.data32)
 		return
 	}
-	checkSameDType("Add", F64, o)
-	if len(t.Data) != len(o.Data) {
-		panic("tensor: Add size mismatch")
-	}
-	for i, v := range o.Data {
-		t.Data[i] += v
-	}
+	f64(t.Data, o.Data)
 }
 
+// Add adds o element-wise into t (t += o).
+func (t *Tensor) Add(o *Tensor) { zip("Add", t, o, add[float32], add[float64]) }
+
 // Sub subtracts o element-wise from t (t -= o).
-func (t *Tensor) Sub(o *Tensor) {
-	if t.dtype == F32 {
-		checkSameDType("Sub", F32, o)
-		if len(t.data32) != len(o.data32) {
-			panic("tensor: Sub size mismatch")
-		}
-		for i, v := range o.data32 {
-			t.data32[i] -= v
-		}
-		return
-	}
-	checkSameDType("Sub", F64, o)
-	if len(t.Data) != len(o.Data) {
-		panic("tensor: Sub size mismatch")
-	}
-	for i, v := range o.Data {
-		t.Data[i] -= v
-	}
-}
+func (t *Tensor) Sub(o *Tensor) { zip("Sub", t, o, sub[float32], sub[float64]) }
+
+// Hadamard performs element-wise multiplication t *= o.
+func (t *Tensor) Hadamard(o *Tensor) { zip("Hadamard", t, o, mul[float32], mul[float64]) }
 
 // AddScaled performs t += alpha*o. For F32 tensors alpha is rounded to
 // float32 once, then the multiply-add runs entirely in float32.
 func (t *Tensor) AddScaled(o *Tensor, alpha float64) {
-	if t.dtype == F32 {
-		checkSameDType("AddScaled", F32, o)
-		if len(t.data32) != len(o.data32) {
-			panic("tensor: AddScaled size mismatch")
-		}
-		a32 := float32(alpha)
-		for i, v := range o.data32 {
-			t.data32[i] += a32 * v
-		}
-		return
-	}
-	checkSameDType("AddScaled", F64, o)
-	if len(t.Data) != len(o.Data) {
-		panic("tensor: AddScaled size mismatch")
-	}
-	for i, v := range o.Data {
-		t.Data[i] += alpha * v
-	}
+	zip("AddScaled", t, o,
+		func(dst, src []float32) { addScaled(dst, src, float32(alpha)) },
+		func(dst, src []float64) { addScaled(dst, src, alpha) })
 }
 
 // Scale multiplies every element by alpha (rounded to float32 once for F32
 // tensors).
 func (t *Tensor) Scale(alpha float64) {
 	if t.dtype == F32 {
-		a32 := float32(alpha)
-		for i := range t.data32 {
-			t.data32[i] *= a32
-		}
+		scale(t.data32, float32(alpha))
 		return
 	}
-	for i := range t.Data {
-		t.Data[i] *= alpha
+	scale(t.Data, alpha)
+}
+
+func copyInto[T Elem](dst, src []T) { copy(dst, src) }
+
+func add[T Elem](dst, src []T) {
+	for i, v := range src {
+		dst[i] += v
 	}
 }
 
-// Hadamard performs element-wise multiplication t *= o.
-func (t *Tensor) Hadamard(o *Tensor) {
-	if t.dtype == F32 {
-		checkSameDType("Hadamard", F32, o)
-		if len(t.data32) != len(o.data32) {
-			panic("tensor: Hadamard size mismatch")
-		}
-		for i, v := range o.data32 {
-			t.data32[i] *= v
-		}
-		return
+func sub[T Elem](dst, src []T) {
+	for i, v := range src {
+		dst[i] -= v
 	}
-	checkSameDType("Hadamard", F64, o)
-	if len(t.Data) != len(o.Data) {
-		panic("tensor: Hadamard size mismatch")
+}
+
+func mul[T Elem](dst, src []T) {
+	for i, v := range src {
+		dst[i] *= v
 	}
-	for i, v := range o.Data {
-		t.Data[i] *= v
+}
+
+func addScaled[T Elem](dst, src []T, alpha T) {
+	for i, v := range src {
+		dst[i] += alpha * v
+	}
+}
+
+func scale[T Elem](s []T, alpha T) {
+	for i := range s {
+		s[i] *= alpha
+	}
+}
+
+func fill[T Elem](s []T, v T) {
+	for i := range s {
+		s[i] = v
 	}
 }
 
 // Sum returns the sum of all elements. F32 tensors accumulate in float64
 // (exact for any realistic tensor size) in flat index order.
 func (t *Tensor) Sum() float64 {
-	s := 0.0
 	if t.dtype == F32 {
-		for _, v := range t.data32 {
-			s += float64(v)
-		}
-		return s
+		return sum(t.data32)
 	}
-	for _, v := range t.Data {
-		s += v
-	}
-	return s
+	return sum(t.Data)
 }
 
 // Mean returns the arithmetic mean of all elements.
@@ -321,37 +265,19 @@ func (t *Tensor) Mean() float64 { return t.Sum() / float64(t.Size()) }
 
 // MaxAbs returns the maximum absolute element value.
 func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
 	if t.dtype == F32 {
-		for _, v := range t.data32 {
-			if a := math.Abs(float64(v)); a > m {
-				m = a
-			}
-		}
-		return m
+		return maxAbs(t.data32)
 	}
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
+	return maxAbs(t.Data)
 }
 
 // Norm2 returns the Euclidean norm of the flattened tensor (float64
 // accumulation for both dtypes).
 func (t *Tensor) Norm2() float64 {
-	s := 0.0
 	if t.dtype == F32 {
-		for _, v := range t.data32 {
-			s += float64(v) * float64(v)
-		}
-		return math.Sqrt(s)
+		return norm2(t.data32)
 	}
-	for _, v := range t.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
+	return norm2(t.Data)
 }
 
 // AllClose reports whether every element of t is within tol of o. The
@@ -361,19 +287,9 @@ func (t *Tensor) AllClose(o *Tensor, tol float64) bool {
 		return false
 	}
 	if t.dtype == F32 {
-		for i, v := range t.data32 {
-			if math.Abs(float64(v)-float64(o.data32[i])) > tol {
-				return false
-			}
-		}
-		return true
+		return allClose(t.data32, o.data32, tol)
 	}
-	for i, v := range t.Data {
-		if math.Abs(v-o.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
+	return allClose(t.Data, o.Data, tol)
 }
 
 // ArgMaxRow returns, for a 2-D tensor [N, F], the index of the maximum
@@ -384,16 +300,48 @@ func (t *Tensor) ArgMaxRow(n int) int {
 	}
 	f := t.Shape[1]
 	if t.dtype == F32 {
-		row := t.data32[n*f : (n+1)*f]
-		best, bi := row[0], 0
-		for i, v := range row {
-			if v > best {
-				best, bi = v, i
-			}
-		}
-		return bi
+		return argMax(t.data32[n*f : (n+1)*f])
 	}
-	row := t.Data[n*f : (n+1)*f]
+	return argMax(t.Data[n*f : (n+1)*f])
+}
+
+func sum[T Elem](s []T) float64 {
+	acc := 0.0
+	for _, v := range s {
+		acc += float64(v)
+	}
+	return acc
+}
+
+func maxAbs[T Elem](s []T) float64 {
+	m := 0.0
+	for _, v := range s {
+		if a := math.Abs(float64(v)); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+func norm2[T Elem](s []T) float64 {
+	acc := 0.0
+	for _, v := range s {
+		x := float64(v)
+		acc += x * x
+	}
+	return math.Sqrt(acc)
+}
+
+func allClose[T Elem](a, b []T, tol float64) bool {
+	for i, v := range a {
+		if math.Abs(float64(v)-float64(b[i])) > tol {
+			return false
+		}
+	}
+	return true
+}
+
+func argMax[T Elem](row []T) int {
 	best, bi := row[0], 0
 	for i, v := range row {
 		if v > best {
@@ -415,13 +363,11 @@ func checkDst(op string, dst *Tensor, m, n int) {
 // zero-operand short-circuit: 0·NaN and 0·Inf must propagate rather than be
 // silently flushed to zero, and the dense hot path avoids a data-dependent
 // branch.
-func matMulSlices(dst, a, b []float64, m, k, n int) {
+func matMulSlices[T Elem](dst, a, b []T, m, k, n int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		crow := dst[i*n : (i+1)*n]
-		for j := range crow {
-			crow[j] = 0
-		}
+		clear(crow)
 		for p := 0; p < k; p++ {
 			av := arow[p]
 			brow := b[p*n : (p+1)*n]
@@ -434,26 +380,14 @@ func matMulSlices(dst, a, b []float64, m, k, n int) {
 
 // matMulTransASlices computes dst = aᵀ·b over raw slices (a [k,m], b [k,n],
 // dst [m,n]), fully overwriting dst.
-func matMulTransASlices(dst, a, b []float64, k, m, n int) {
-	for i := range dst[:m*n] {
-		dst[i] = 0
-	}
-	for p := 0; p < k; p++ {
-		arow := a[p*m : (p+1)*m]
-		brow := b[p*n : (p+1)*n]
-		for i := 0; i < m; i++ {
-			av := arow[i]
-			crow := dst[i*n : (i+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
+func matMulTransASlices[T Elem](dst, a, b []T, k, m, n int) {
+	clear(dst[:m*n])
+	matMulTransASlicesAcc(dst, a, b, k, m, n)
 }
 
 // matMulTransASlicesAcc computes dst += aᵀ·b over raw slices (a [k,m],
 // b [k,n], dst [m,n]), accumulating into dst.
-func matMulTransASlicesAcc(dst, a, b []float64, k, m, n int) {
+func matMulTransASlicesAcc[T Elem](dst, a, b []T, k, m, n int) {
 	for p := 0; p < k; p++ {
 		arow := a[p*m : (p+1)*m]
 		brow := b[p*n : (p+1)*n]
@@ -469,13 +403,13 @@ func matMulTransASlicesAcc(dst, a, b []float64, k, m, n int) {
 
 // matMulTransBSlices computes dst = a·bᵀ over raw slices (a [m,k], b [n,k],
 // dst [m,n]), fully overwriting dst.
-func matMulTransBSlices(dst, a, b []float64, m, k, n int) {
+func matMulTransBSlices[T Elem](dst, a, b []T, m, k, n int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		crow := dst[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
 			brow := b[j*k : (j+1)*k]
-			s := 0.0
+			var s T
 			for p, av := range arow {
 				s += av * brow[p]
 			}
@@ -488,19 +422,31 @@ func matMulTransBSlices(dst, a, b []float64, m, k, n int) {
 // product is computed separately and added once, so the result is
 // bit-identical to matMulTransBSlices into scratch followed by an add —
 // without the scratch traffic.
-func matMulTransBSlicesAcc(dst, a, b []float64, m, k, n int) {
+func matMulTransBSlicesAcc[T Elem](dst, a, b []T, m, k, n int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		crow := dst[i*n : (i+1)*n]
 		for j := 0; j < n; j++ {
 			brow := b[j*k : (j+1)*k]
-			s := 0.0
+			var s T
 			for p, av := range arow {
 				s += av * brow[p]
 			}
 			crow[j] += s
 		}
 	}
+}
+
+// gemmRef checks a and b against dst's dtype and runs that dtype's
+// instantiation of a reference GEMM kernel.
+func gemmRef(op string, dst, a, b *Tensor, x, y, z int,
+	f32 func(dst, a, b []float32, x, y, z int), f64 func(dst, a, b []float64, x, y, z int)) {
+	checkSameDType(op, dst.dtype, a, b)
+	if dst.dtype == F32 {
+		f32(dst.data32, a.data32, b.data32, x, y, z)
+		return
+	}
+	f64(dst.Data, a.Data, b.Data, x, y, z)
 }
 
 // MatMulInto computes dst = a·b for a [m,k] and b [k,n] into dst [m,n],
@@ -511,13 +457,7 @@ func MatMulInto(dst, a, b *Tensor) {
 	}
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	checkDst("MatMulInto", dst, m, n)
-	if dst.dtype == F32 {
-		checkSameDType("MatMulInto", F32, a, b)
-		matMulSlices32(dst.data32, a.data32, b.data32, m, k, n)
-		return
-	}
-	checkSameDType("MatMulInto", F64, a, b)
-	matMulSlices(dst.Data, a.Data, b.Data, m, k, n)
+	gemmRef("MatMulInto", dst, a, b, m, k, n, matMulSlices[float32], matMulSlices[float64])
 }
 
 // MatMulTransAInto computes dst = aᵀ·b for a [k,m] and b [k,n] into
@@ -528,13 +468,7 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 	}
 	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	checkDst("MatMulTransAInto", dst, m, n)
-	if dst.dtype == F32 {
-		checkSameDType("MatMulTransAInto", F32, a, b)
-		matMulTransASlices32(dst.data32, a.data32, b.data32, k, m, n)
-		return
-	}
-	checkSameDType("MatMulTransAInto", F64, a, b)
-	matMulTransASlices(dst.Data, a.Data, b.Data, k, m, n)
+	gemmRef("MatMulTransAInto", dst, a, b, k, m, n, matMulTransASlices[float32], matMulTransASlices[float64])
 }
 
 // MatMulTransAAccInto computes dst += aᵀ·b for a [k,m] and b [k,n] into
@@ -546,13 +480,7 @@ func MatMulTransAAccInto(dst, a, b *Tensor) {
 	}
 	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	checkDst("MatMulTransAAccInto", dst, m, n)
-	if dst.dtype == F32 {
-		checkSameDType("MatMulTransAAccInto", F32, a, b)
-		matMulTransASlicesAcc32(dst.data32, a.data32, b.data32, k, m, n)
-		return
-	}
-	checkSameDType("MatMulTransAAccInto", F64, a, b)
-	matMulTransASlicesAcc(dst.Data, a.Data, b.Data, k, m, n)
+	gemmRef("MatMulTransAAccInto", dst, a, b, k, m, n, matMulTransASlicesAcc[float32], matMulTransASlicesAcc[float64])
 }
 
 // MatMulTransBInto computes dst = a·bᵀ for a [m,k] and b [n,k] into
@@ -563,13 +491,7 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	}
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
 	checkDst("MatMulTransBInto", dst, m, n)
-	if dst.dtype == F32 {
-		checkSameDType("MatMulTransBInto", F32, a, b)
-		matMulTransBSlices32(dst.data32, a.data32, b.data32, m, k, n)
-		return
-	}
-	checkSameDType("MatMulTransBInto", F64, a, b)
-	matMulTransBSlices(dst.Data, a.Data, b.Data, m, k, n)
+	gemmRef("MatMulTransBInto", dst, a, b, m, k, n, matMulTransBSlices[float32], matMulTransBSlices[float64])
 }
 
 // MatMul computes c = a·b for 2-D tensors a [m,k] and b [k,n], returning
@@ -611,17 +533,17 @@ func Transpose(a *Tensor) *Tensor {
 	m, n := a.Shape[0], a.Shape[1]
 	c := NewDT(a.dtype, n, m)
 	if a.dtype == F32 {
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				c.data32[j*m+i] = a.data32[i*n+j]
-			}
-		}
-		return c
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			c.Data[j*m+i] = a.Data[i*n+j]
-		}
+		transpose(c.data32, a.data32, m, n)
+	} else {
+		transpose(c.Data, a.Data, m, n)
 	}
 	return c
+}
+
+func transpose[T Elem](dst, src []T, m, n int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			dst[j*m+i] = src[i*n+j]
+		}
+	}
 }
