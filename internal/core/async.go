@@ -246,8 +246,12 @@ func (t *AsyncPBTrainer) StageParams(i int) []*nn.Param { return t.stages[i].par
 // StageUpdates returns stage i's applied-update counter.
 func (t *AsyncPBTrainer) StageUpdates(i int) int { return t.stages[i].updates }
 
-// SetStageUpdates restores stage i's update counter from a checkpoint.
-func (t *AsyncPBTrainer) SetStageUpdates(i, updates int) { t.stages[i].updates = updates }
+// SetStageUpdates restores stage i's update counter from a checkpoint and
+// drops the stage's prediction (see PBTrainer.SetStageUpdates).
+func (t *AsyncPBTrainer) SetStageUpdates(i, updates int) {
+	t.stages[i].updates = updates
+	t.stages[i].dropPrediction()
+}
 
 // UpdateStep reports the engine's schedule position. In ModeLockstep that
 // is the pipeline-step counter, which Drain keeps aligned with the
@@ -446,6 +450,7 @@ func (t *AsyncPBTrainer) Drain(ctx context.Context) ([]*Result, error) {
 		}
 	}
 	rs = t.harvest(rs)
+	t.dropPredictions()
 	if t.running {
 		t.wallNs += time.Since(t.started).Nanoseconds() //lint:allow(determinism) wall-clock accounting for Stats.Utilization only
 		t.running = false
@@ -453,6 +458,15 @@ func (t *AsyncPBTrainer) Drain(ctx context.Context) ([]*Result, error) {
 	t.emitDriver(rs)
 	emitDrainSummary(t.obsDrv, t.Stats())
 	return rs, nil
+}
+
+// dropPredictions clears ŵ from every stage's G. Only valid with the pipeline
+// quiesced: every stage's last update happened before the completion Drain
+// waited for.
+func (t *AsyncPBTrainer) dropPredictions() {
+	for _, st := range t.stages {
+		st.dropPrediction()
+	}
 }
 
 // emitDriver publishes the driver-side view — harvested completions and the
@@ -533,7 +547,7 @@ func (t *AsyncPBTrainer) complete() {
 func (t *AsyncPBTrainer) lossBackward(i int, in *inflight, out *nn.Packet, lr float64) (*Result, *nn.Packet) {
 	st := t.stages[i]
 	loss, correct, grad := st.runLossHead(t.Net.Head, out, in.label)
-	dx := st.runBackward(grad, t.Cfg.Mitigation, bwdHorizonFor(t.Cfg.Mitigation, i), lr)
+	dx := st.runBackward(grad, lr)
 	return &Result{ID: in.id, Loss: loss, Correct: correct}, dx
 }
 
@@ -632,8 +646,7 @@ func (t *AsyncPBTrainer) freeForward(i int, in *inflight) bool {
 	// as idle, lowering measured utilization, never inflating it.
 	st.stall(false)
 	t0 := time.Now() //lint:allow(determinism) busy-time accounting for Stats.Utilization; never feeds the training math
-	horizon, form := fwdHorizonFor(t.Cfg.Mitigation, len(t.stages), i, st.delay)
-	out := st.runForward(in, t.Cfg.Mitigation, horizon, form)
+	out := st.runForward(in)
 	if !last {
 		st.busyNs += time.Since(t0).Nanoseconds() //lint:allow(determinism) busy-time accounting only
 		st.emitObs()
@@ -676,7 +689,7 @@ func (t *AsyncPBTrainer) freeBackward(i int, g *nn.Packet) bool {
 	st := t.stages[i]
 	st.stall(true)
 	t0 := time.Now() //lint:allow(determinism) busy-time accounting for Stats.Utilization; never feeds the training math
-	dx := st.runBackward(g, t.Cfg.Mitigation, bwdHorizonFor(t.Cfg.Mitigation, i), t.freeLR(i))
+	dx := st.runBackward(g, t.freeLR(i))
 	st.busyNs += time.Since(t0).Nanoseconds() //lint:allow(determinism) busy-time accounting only
 	st.emitObs()
 	if i == 0 {
@@ -730,8 +743,7 @@ func (t *AsyncPBTrainer) workerLock(i int) {
 		}
 		t0 := time.Now() //lint:allow(determinism) busy-time accounting for Stats.Utilization; never feeds the training math
 		if in != nil {
-			horizon, form := fwdHorizonFor(t.Cfg.Mitigation, s, i, st.delay)
-			out := st.runForward(in, t.Cfg.Mitigation, horizon, form)
+			out := st.runForward(in)
 			if last {
 				// Same step: the loss gradient feeds this stage's own
 				// backward immediately, as in PBTrainer's backward sweep.
@@ -743,7 +755,7 @@ func (t *AsyncPBTrainer) workerLock(i int) {
 			}
 		}
 		if g != nil {
-			dx = st.runBackward(g, t.Cfg.Mitigation, bwdHorizonFor(t.Cfg.Mitigation, i), lr)
+			dx = st.runBackward(g, lr)
 			didBwd = true
 		}
 		if in != nil || g != nil {

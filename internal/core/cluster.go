@@ -565,6 +565,14 @@ func (c *Cluster) emitDriver(rs []*Result) {
 // per-replica update targets are re-aligned with it.
 func (c *Cluster) runSync() {
 	c.policy.Sync(c.views)
+	// The policy wrote weights and optimizer state behind the stage loops.
+	// sync-grad quiesces through drainRounds, not the engines' Drain, so
+	// their predictions are still in G here.
+	for _, e := range c.engines {
+		if d, ok := e.(interface{ dropPredictions() }); ok {
+			d.dropPredictions()
+		}
+	}
 	c.syncs++
 	c.lastSync = c.submitted
 	c.obs.Emit(obspkg.Event{Kind: obspkg.KindSyncClock, Stage: -1, Count: int64(c.syncs)})

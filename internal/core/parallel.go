@@ -103,8 +103,7 @@ func (t *ParallelPBTrainer) forwardStage(i int) {
 	t.inner.fwd[i] = nil
 	st := t.inner.stages[i]
 	st.stall(false)
-	horizon, form := t.inner.forwardHorizon(i)
-	out := st.runForward(in, t.inner.Cfg.Mitigation, horizon, form)
+	out := st.runForward(in)
 	if i < len(t.inner.stages)-1 {
 		in.packet = out // reuse the inflight wrapper for the next hop
 		t.nextFwd[i+1] = in
@@ -130,8 +129,7 @@ func (t *ParallelPBTrainer) backwardStage(i int) {
 	}
 	st := t.inner.stages[i]
 	st.stall(true)
-	dx := st.runBackward(dIn, t.inner.Cfg.Mitigation,
-		t.inner.backwardHorizon(i), t.inner.Cfg.lrAt(t.inner.updateStep))
+	dx := st.runBackward(dIn, t.inner.Cfg.lrAt(t.inner.updateStep))
 	if i == 0 {
 		t.inner.outstanding--
 		t.inner.completed++
@@ -200,10 +198,14 @@ func (t *ParallelPBTrainer) Drain(ctx context.Context) ([]*Result, error) {
 			rs = append(rs, r)
 		}
 	}
+	t.dropPredictions()
 	t.inner.emitDriver(rs)
 	emitDrainSummary(t.inner.obs, t.Stats())
 	return rs, nil
 }
+
+// dropPredictions clears ŵ from every stage's G (PBTrainer.dropPredictions).
+func (t *ParallelPBTrainer) dropPredictions() { t.inner.dropPredictions() }
 
 // Close terminates the worker goroutines. The trainer is unusable after.
 func (t *ParallelPBTrainer) Close() {

@@ -65,6 +65,23 @@ type stageState struct {
 	// chaos, when non-nil, is Config.StageDelay: the fault-injection hook
 	// consulted (via stall) before each forward/backward transformation.
 	chaos func(ChaosPoint) time.Duration
+	// mit is the mitigation, and fwdH/fwdForm and bwdH the stage's weight-
+	// prediction horizons and form (fwdHorizonFor, bwdHorizonFor; 0 = none),
+	// fixed at construction like the delay.
+	mit     Mitigation
+	fwdH    float64
+	fwdForm optim.LWPForm
+	bwdH    float64
+	// predicted reports that every parameter's G holds ŵ for the current
+	// weights instead of a gradient (the fused path, see fused and
+	// DESIGN.md §7). Set by the update's StepPredict or by a forward that
+	// had to predict; cleared by dropPrediction.
+	predicted bool
+	// swap parks the weight storage displaced while a forward or backward
+	// runs under other weights (swapIn/swapOut), one slot per parameter.
+	swap [][]float64
+	// bwdPred is SpecTrain's backward-pass prediction, allocated on first use.
+	bwdPred [][]float64
 }
 
 // inflight is a sample travelling forward through the pipeline.
@@ -136,7 +153,10 @@ func newPBTrainer(net *nn.Network, cfg Config) *PBTrainer {
 	delays := StageDelays(s)
 	t := &PBTrainer{Net: net, Cfg: cfg, dtype: net.DType()}
 	for i, st := range net.Stages {
-		ss := &stageState{stage: st, params: st.Params(), delay: delays[i], idx: i, chaos: cfg.StageDelay}
+		ss := &stageState{stage: st, params: st.Params(), delay: delays[i], idx: i, chaos: cfg.StageDelay,
+			mit: cfg.Mitigation, bwdH: bwdHorizonFor(cfg.Mitigation, i)}
+		ss.fwdH, ss.fwdForm = fwdHorizonFor(cfg.Mitigation, s, i, delays[i])
+		ss.swap = make([][]float64, len(ss.params))
 		if !cfg.Unpooled {
 			ss.arena = tensor.NewArena()
 		}
@@ -236,28 +256,6 @@ func recycleInput(free *[]*tensor.Tensor, x *tensor.Tensor) {
 	*free = append(*free, x)
 }
 
-// forwardHorizon returns the weight-prediction horizon used at the forward
-// pass of stage s, or 0 for none.
-func (t *PBTrainer) forwardHorizon(s int) (float64, optim.LWPForm) {
-	return fwdHorizonFor(t.Cfg.Mitigation, len(t.stages), s, t.stages[s].delay)
-}
-
-// backwardHorizon returns the prediction horizon used at the backward pass
-// (SpecTrain only).
-func (t *PBTrainer) backwardHorizon(s int) float64 {
-	return bwdHorizonFor(t.Cfg.Mitigation, s)
-}
-
-// swapIn replaces stage parameters with the provided data slices, returning
-// the originals for restoration.
-func swapIn(params []*nn.Param, datas [][]float64) [][]float64 {
-	old := make([][]float64, len(params))
-	for i, p := range params {
-		old[i] = p.SwapData(datas[i])
-	}
-	return old
-}
-
 // Step advances the pipeline by one step: every stage performs its forward
 // and backward transformation and applies at most one weight update. It
 // returns the result of the sample whose loss was computed this step, if
@@ -286,8 +284,7 @@ func (t *PBTrainer) Step() *Result {
 		t.fwd[i] = nil
 		st := t.stages[i]
 		st.stall(false)
-		horizon, form := t.forwardHorizon(i)
-		out := st.runForward(in, t.Cfg.Mitigation, horizon, form)
+		out := st.runForward(in)
 		if i < s-1 {
 			in.packet = out
 			t.fwd[i+1] = in
@@ -319,7 +316,7 @@ func (t *PBTrainer) Step() *Result {
 		}
 		st := t.stages[i]
 		st.stall(true)
-		dx := st.runBackward(dIn, t.Cfg.Mitigation, t.backwardHorizon(i), t.Cfg.lrAt(t.updateStep))
+		dx := st.runBackward(dIn, t.Cfg.lrAt(t.updateStep))
 		if i == 0 {
 			t.outstanding--
 			t.completed++
@@ -383,9 +380,19 @@ func (t *PBTrainer) Drain(ctx context.Context) ([]*Result, error) {
 			rs = append(rs, r)
 		}
 	}
+	t.dropPredictions()
 	t.emitDriver(rs)
 	emitDrainSummary(t.obs, t.Stats())
 	return rs, nil
+}
+
+// dropPredictions clears ŵ from every stage's G on a quiesced pipeline, so
+// whatever a caller does to weights or optimizer state next is seen by the
+// next forward.
+func (t *PBTrainer) dropPredictions() {
+	for _, st := range t.stages {
+		st.dropPrediction()
+	}
 }
 
 // emitDriver publishes the driver-side view — completed samples and the
@@ -440,8 +447,13 @@ func (t *PBTrainer) StageParams(i int) []*nn.Param { return t.stages[i].params }
 // StageUpdates returns stage i's applied-update counter (for checkpointing).
 func (t *PBTrainer) StageUpdates(i int) int { return t.stages[i].updates }
 
-// SetStageUpdates restores stage i's update counter from a checkpoint.
-func (t *PBTrainer) SetStageUpdates(i, updates int) { t.stages[i].updates = updates }
+// SetStageUpdates restores stage i's update counter from a checkpoint. Every
+// restore and replica alignment calls it after writing the stage's state, so
+// it also drops the stage's prediction.
+func (t *PBTrainer) SetStageUpdates(i, updates int) {
+	t.stages[i].updates = updates
+	t.stages[i].dropPrediction()
+}
 
 // UpdateStep returns the global update-step counter (the LR-schedule
 // position), for checkpointing.

@@ -31,6 +31,53 @@ func TestPBDeterminism(t *testing.T) {
 	}
 }
 
+// TestPredictionDroppedAtQuiescence pins the fused-prediction invariant
+// (DESIGN.md §7): mid-run a predicting stage's G holds ŵ, but Drain hands
+// every G back zeroed on every engine, and SetStageUpdates drops the stage's
+// prediction, so state written from outside the stage loop reaches the next
+// forward's prediction.
+func TestPredictionDroppedAtQuiescence(t *testing.T) {
+	train, _ := data.GaussianBlobs(6, 3, 12, 0, 1, 0.5, 62)
+	gradsZero := func(e replicaView, s int) bool {
+		for _, p := range e.StageParams(s) {
+			for _, g := range p.G.Data {
+				if g != 0 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for _, kind := range []string{"seq", "lockstep", "async", "async-lockstep"} {
+		cfg := ScaledConfig(0.1, 0.9, 16, 1)
+		cfg.Mitigation = LWPvDSCD
+		eng, err := NewEngine(kind, models.DeepMLP(6, 8, 3, 3, 62), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rv := eng.(replicaView)
+		feedSlice(eng, train, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+		if kind == "seq" {
+			// Only the seq engine may be inspected mid-run: stage 0 has
+			// updated, so its G holds the next forward's ŵ.
+			if gradsZero(rv, 0) {
+				t.Fatalf("seq: stage 0 G is zero mid-run; the update should have left ŵ there")
+			}
+			rv.SetStageUpdates(0, rv.StageUpdates(0))
+			if !gradsZero(rv, 0) {
+				t.Fatalf("seq: SetStageUpdates left ŵ in stage 0's G")
+			}
+		}
+		drain(eng)
+		for s := 0; s < rv.NumStages(); s++ {
+			if !gradsZero(rv, s) {
+				t.Fatalf("%s: stage %d G not zero after Drain", kind, s)
+			}
+		}
+		eng.Close()
+	}
+}
+
 func TestSCIsPlainSGDAtZeroMomentum(t *testing.T) {
 	// With m=0 the SCD coefficients are (0,1) for D>0 — i.e. w -= lr·g,
 	// exactly plain SGD. The whole trajectory must match the unmitigated run.

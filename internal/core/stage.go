@@ -53,23 +53,6 @@ func bwdHorizonFor(mit Mitigation, i int) float64 {
 	return 0
 }
 
-// forwardUnder is the single forward primitive every engine drives: it runs
-// one stage's Forward, optionally under a temporarily installed read-only
-// weight view (prediction or stashed weights), and hands back the output
-// packet plus the stage context. The view is installed by pointer-swapping
-// parameter storage and restored before returning, so the stage's parameters
-// are never mutated — forward compute is a pure function of (weights, input)
-// regardless of which view it reads.
-func forwardUnder(s nn.Stage, params []*nn.Param, view [][]float64, p *nn.Packet, ar *tensor.Arena, par *tensor.Parallel) (*nn.Packet, any) {
-	if len(view) == 0 || len(params) == 0 {
-		return s.Forward(p, ar, par)
-	}
-	old := swapIn(params, view)
-	out, ctx := s.Forward(p, ar, par)
-	swapIn(params, old)
-	return out, ctx
-}
-
 // stall consults the fault-injection hook (Config.StageDelay) before a stage
 // transformation and sleeps out any injected straggle. Engines call it from
 // the goroutine driving the stage, outside their busy-time accounting
@@ -99,29 +82,89 @@ func forwardInfer(s nn.Stage, p *nn.Packet, ar *tensor.Arena, par *tensor.Parall
 	return out
 }
 
+// fused reports whether the stage runs its forward under ŵ kept in G: it
+// predicts (LWP or SpecTrain) and does not stash. With stashing every
+// in-flight sample needs its own copy of the weights it ran under, so one
+// buffer cannot serve.
+func (st *stageState) fused() bool {
+	return st.fwdH > 0 && !st.mit.WeightStash && len(st.params) > 0
+}
+
+// dropPrediction zeroes G when it holds ŵ, returning it to a gradient
+// accumulator. The stage calls it before every backward; the engines call it
+// wherever weights or velocities may change outside the stage loop (Drain,
+// SetStageUpdates, cluster sync), so the next forward predicts afresh.
+func (st *stageState) dropPrediction() {
+	if !st.predicted {
+		return
+	}
+	for _, p := range st.params {
+		p.G.Zero()
+	}
+	st.predicted = false
+}
+
+// swapIn installs datas[j] as parameter j's weight storage, parking the
+// displaced storage in st.swap; swapOut puts it back. Forward and backward
+// compute are pure functions of (weights, input), so the stage's own weights
+// are never mutated by running under another view.
+func (st *stageState) swapIn(datas [][]float64) {
+	for j, p := range st.params {
+		st.swap[j] = p.SwapData(datas[j])
+	}
+}
+
+func (st *stageState) swapOut() {
+	for j, p := range st.params {
+		p.SwapData(st.swap[j])
+		st.swap[j] = nil
+	}
+}
+
 // runForward performs the stage's forward transformation for one sample
 // under the mitigation's prediction/stashing rules, pushes the sample's
 // context onto the stage FIFO, and returns the output packet. It touches
 // only stage-local state. With a non-nil arena the input packet is consumed
 // and (usually) returned as the output packet.
-func (st *stageState) runForward(in *inflight, mit Mitigation, horizon float64, form optim.LWPForm) *nn.Packet {
-	var usedWeights, view [][]float64
-	if horizon > 0 && len(st.params) > 0 {
-		view = make([][]float64, len(st.params))
-		for j, p := range st.params {
-			view[j] = st.opt.Predict(p, form, horizon)
+//
+// On the fused path ŵ already sits in G, written by the previous update's
+// StepPredict; only the first forward after a drop predicts here. Either way
+// the forward runs with G's storage installed as the weights.
+func (st *stageState) runForward(in *inflight) *nn.Packet {
+	var stash [][]float64
+	swapped := true
+	switch {
+	case st.fused():
+		if !st.predicted {
+			for _, p := range st.params {
+				st.opt.PredictInto(p.G.Data, p, st.fwdForm, st.fwdH)
+			}
+			st.predicted = true
 		}
-		if mit.WeightStash {
-			usedWeights = view
-		}
-	} else if mit.WeightStash && len(st.params) > 0 {
-		usedWeights = make([][]float64, len(st.params))
 		for j, p := range st.params {
-			usedWeights[j] = p.Snapshot()
+			st.swap[j] = p.SwapData(p.G.Data)
+		}
+	case st.fwdH > 0 && len(st.params) > 0:
+		// Prediction with stashing: the sample keeps its own ŵ.
+		stash = make([][]float64, len(st.params))
+		for j, p := range st.params {
+			stash[j] = st.opt.Predict(p, st.fwdForm, st.fwdH)
+		}
+		st.swapIn(stash)
+	default:
+		swapped = false
+		if st.mit.WeightStash && len(st.params) > 0 {
+			stash = make([][]float64, len(st.params))
+			for j, p := range st.params {
+				stash[j] = p.Snapshot()
+			}
 		}
 	}
-	out, ctx := forwardUnder(st.stage, st.params, view, in.packet, st.arena, st.par)
-	st.push(ctx, usedWeights, in.id)
+	out, ctx := st.stage.Forward(in.packet, st.arena, st.par)
+	if swapped {
+		st.swapOut()
+	}
+	st.push(ctx, stash, in.id)
 	return out
 }
 
@@ -130,23 +173,32 @@ func (st *stageState) runForward(in *inflight, mit Mitigation, horizon float64, 
 // mitigation asks for them), applies one weight update at learning rate lr,
 // and returns the input gradient. It touches only stage-local state. With a
 // non-nil arena the gradient packet is consumed and (usually) returned as
-// the output packet.
-func (st *stageState) runBackward(dIn *nn.Packet, mit Mitigation, bwdHorizon, lr float64) *nn.Packet {
+// the output packet. On the fused path the update also leaves the next
+// forward's ŵ in G.
+func (st *stageState) runBackward(dIn *nn.Packet, lr float64) *nn.Packet {
 	c := st.pop()
+	st.dropPrediction()
 	var dx *nn.Packet
 	switch {
 	case c.stash != nil && len(st.params) > 0:
-		old := swapIn(st.params, c.stash)
+		st.swapIn(c.stash)
 		dx = st.stage.Backward(dIn, c.ctx, st.arena, st.par)
-		swapIn(st.params, old)
-	case bwdHorizon > 0 && len(st.params) > 0:
-		pred := make([][]float64, len(st.params))
-		for j, p := range st.params {
-			pred[j] = st.opt.Predict(p, optim.LWPVelocity, bwdHorizon)
+		st.swapOut()
+	case st.bwdH > 0 && len(st.params) > 0:
+		// SpecTrain's backward prediction is needed while G accumulates, so
+		// it gets a buffer of its own.
+		if st.bwdPred == nil {
+			st.bwdPred = make([][]float64, len(st.params))
+			for j, p := range st.params {
+				st.bwdPred[j] = make([]float64, p.W.Size())
+			}
 		}
-		old := swapIn(st.params, pred)
+		for j, p := range st.params {
+			st.opt.PredictInto(st.bwdPred[j], p, optim.LWPVelocity, st.bwdH)
+		}
+		st.swapIn(st.bwdPred)
 		dx = st.stage.Backward(dIn, c.ctx, st.arena, st.par)
-		swapIn(st.params, old)
+		st.swapOut()
 	default:
 		dx = st.stage.Backward(dIn, c.ctx, st.arena, st.par)
 	}
@@ -158,7 +210,7 @@ func (st *stageState) runBackward(dIn *nn.Packet, mit Mitigation, bwdHorizon, lr
 		st.obs.Emit(obs.Event{Kind: obs.KindStaleness, Stage: st.idx, Count: int64(gap)})
 	}
 	if len(st.params) > 0 {
-		if g := mit.GradShrink; g > 0 {
+		if g := st.mit.GradShrink; g > 0 {
 			optim.ShrinkGradients(st.params, g, float64(st.delay))
 		}
 		if st.reduce != nil {
@@ -168,7 +220,12 @@ func (st *stageState) runBackward(dIn *nn.Packet, mit Mitigation, bwdHorizon, lr
 			st.reduce(st.idx, st.params)
 		}
 		st.opt.LR = lr
-		st.opt.Step(st.params)
+		if st.fused() {
+			st.opt.StepPredict(st.params, st.fwdForm, st.fwdH)
+			st.predicted = true
+		} else {
+			st.opt.Step(st.params)
+		}
 	}
 	st.updates++
 	return dx

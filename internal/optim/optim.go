@@ -198,6 +198,47 @@ func step[T tensor.Elem](o *Momentum, w, g []T, v []float64) {
 	}
 }
 
+// StepPredict is Step fused with linear weight prediction: in the same pass
+// over (w, v) it writes each parameter's predicted weights for horizon t —
+// Eq. 18 or 19, formed from the weights and velocity just written — into the
+// gradient buffer G instead of zeroing it. The result is bit-identical to
+// Step followed by PredictInto(p.G.Data, p, form, t). G then holds ŵ, not a
+// gradient: the caller must zero it before the next backward accumulates.
+// The weight form needs TrackPrev. f64 only, like every predictor.
+func (o *Momentum) StepPredict(params []*nn.Param, form LWPForm, t float64) {
+	if form == LWPWeight && !o.TrackPrev {
+		panic("optim: StepPredict with the weight form (LWPw) needs TrackPrev")
+	}
+	for _, p := range params {
+		if p.DType() != tensor.F64 {
+			panic("optim: weight prediction is f64-only for " + p.Name)
+		}
+		var prev []float64
+		if o.TrackPrev {
+			prev = o.Prev(p)
+		}
+		stepPredict(o, p.W.Data, p.G.Data, o.Vel(p), prev, form, t)
+	}
+}
+
+// stepPredict is step at f64 with the prediction folded in: the update
+// arithmetic is step's, prev (when non-nil) receives the weights before the
+// update, and g receives ŵ instead of zero.
+func stepPredict(o *Momentum, w, g, v, prev []float64, form LWPForm, t float64) {
+	for i := range w {
+		gi := g[i]
+		if o.WeightDecay != 0 {
+			gi += o.WeightDecay * w[i]
+		}
+		if prev != nil {
+			prev[i] = w[i]
+		}
+		v[i] = o.M*v[i] + gi
+		w[i] = w[i] - o.LR*(o.A*v[i]+o.B*gi)
+		g[i] = lwp(form, w, v, prev, o.LR, t, i)
+	}
+}
+
 // Reset clears all optimizer state (velocities and previous weights).
 func (o *Momentum) Reset() {
 	o.vel = make(map[*nn.Param][]float64)
@@ -223,39 +264,63 @@ func (f LWPForm) String() string {
 	return "LWPv"
 }
 
+// lwp returns element i of the linear weight prediction with horizon t:
+// Eq. 18, ŵ = w − η·T·v, or Eq. 19, ŵ = w + T·(w − w_prev). Every predictor
+// — StepPredict inside the optimizer's own pass, the others over a whole
+// slice — computes ŵ here, so they agree bit for bit.
+func lwp(form LWPForm, w, v, prev []float64, lr, t float64, i int) float64 {
+	if form == LWPWeight {
+		return w[i] + t*(w[i]-prev[i])
+	}
+	return w[i] - lr*t*v[i]
+}
+
+// lwpInto writes the whole prediction into dst.
+func lwpInto(dst []float64, form LWPForm, w, v, prev []float64, lr, t float64) {
+	for i := range dst {
+		dst[i] = lwp(form, w, v, prev, lr, t, i)
+	}
+}
+
 // PredictVelocityForm computes ŵ = w − η·T·v into a fresh slice.
 func PredictVelocityForm(w, v []float64, lr, t float64) []float64 {
 	out := make([]float64, len(w))
-	for i := range w {
-		out[i] = w[i] - lr*t*v[i]
-	}
+	lwpInto(out, LWPVelocity, w, v, nil, lr, t)
 	return out
 }
 
 // PredictWeightForm computes ŵ = w + T·(w − wPrev) into a fresh slice.
 func PredictWeightForm(w, wPrev []float64, t float64) []float64 {
 	out := make([]float64, len(w))
-	for i := range w {
-		out[i] = w[i] + t*(w[i]-wPrev[i])
-	}
+	lwpInto(out, LWPWeight, w, nil, wPrev, 0, t)
 	return out
 }
 
 // Predict produces predicted weights for parameter p with horizon t using
-// the requested form and the optimizer's state.
+// the requested form and the optimizer's state, in a fresh slice.
 func (o *Momentum) Predict(p *nn.Param, form LWPForm, t float64) []float64 {
 	if t == 0 {
 		return p.Snapshot()
 	}
+	out := make([]float64, p.W.Size())
+	o.PredictInto(out, p, form, t)
+	return out
+}
+
+// PredictInto writes the predicted weights of p for horizon t > 0 into dst,
+// which must have p's length. f64 only.
+func (o *Momentum) PredictInto(dst []float64, p *nn.Param, form LWPForm, t float64) {
 	if p.DType() != tensor.F64 {
 		panic("optim: weight prediction is f64-only for " + p.Name)
 	}
-	switch form {
-	case LWPWeight:
-		return PredictWeightForm(p.W.Data, o.Prev(p), t)
-	default:
-		return PredictVelocityForm(p.W.Data, o.Vel(p), o.LR, t)
+	if len(dst) != p.W.Size() {
+		panic("optim: PredictInto length mismatch for " + p.Name)
 	}
+	if form == LWPWeight {
+		lwpInto(dst, form, p.W.Data, nil, o.Prev(p), o.LR, t)
+		return
+	}
+	lwpInto(dst, form, p.W.Data, o.Vel(p), nil, o.LR, t)
 }
 
 // ShrinkGradients scales all gradient accumulators by gamma^d — the

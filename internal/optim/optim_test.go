@@ -254,6 +254,47 @@ func TestLWPFormsDifferUnderSC(t *testing.T) {
 	}
 }
 
+// StepPredict must equal Step followed by PredictInto bit for bit, for both
+// forms, with spike coefficients and weight decay on, over several steps (so
+// the velocity and previous-weight recurrences are exercised) — and leave ŵ
+// in G. Once warm, neither it nor PredictInto allocates.
+func TestStepPredictMatchesStepThenPredict(t *testing.T) {
+	for _, form := range []LWPForm{LWPVelocity, LWPWeight} {
+		rng := rand.New(rand.NewSource(11))
+		a, b := SpikeCoefficients(0.9, 3)
+		fused, ref := newParam(1, -2, 0.5, 3), newParam(1, -2, 0.5, 3)
+		of, or := NewSpiked(0.05, 0.9, a, b), NewSpiked(0.05, 0.9, a, b)
+		for _, o := range []*Momentum{of, or} {
+			o.WeightDecay = 1e-3
+			o.TrackPrev = true
+		}
+		want := make([]float64, 4)
+		for s := 0; s < 5; s++ {
+			for j := range ref.G.Data {
+				ref.G.Data[j] = rng.NormFloat64()
+			}
+			fused.G.CopyFrom(ref.G)
+			of.StepPredict([]*nn.Param{fused}, form, 2.5)
+			or.Step([]*nn.Param{ref})
+			or.PredictInto(want, ref, form, 2.5)
+			for i := range want {
+				if fused.W.Data[i] != ref.W.Data[i] || fused.G.Data[i] != want[i] ||
+					of.Vel(fused)[i] != or.Vel(ref)[i] || of.Prev(fused)[i] != or.Prev(ref)[i] {
+					t.Fatalf("%s step %d element %d: fused (w %v, ŵ %v) vs reference (w %v, ŵ %v)",
+						form, s, i, fused.W.Data[i], fused.G.Data[i], ref.W.Data[i], want[i])
+				}
+			}
+			fused.G.Zero()
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			of.StepPredict([]*nn.Param{fused}, form, 2.5)
+			of.PredictInto(want, fused, form, 2.5)
+		}); n != 0 {
+			t.Errorf("%s: %v allocs per StepPredict+PredictInto, want 0", form, n)
+		}
+	}
+}
+
 func TestEquivalenceCoefficients(t *testing.T) {
 	m := 0.9
 	for _, d := range []float64{1, 2, 5} {
