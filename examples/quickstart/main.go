@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	engine := flag.String("engine", "seq", "PB engine: seq|lockstep|async|async-lockstep")
+	engine := flag.String("engine", "seq", "PB engine: seq|lockstep|async")
 	epochs := flag.Int("epochs", 40, "training epochs")
 	samples := flag.Int("samples", 512, "training samples")
 	flag.Parse()

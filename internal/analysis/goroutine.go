@@ -25,7 +25,6 @@ var goroutineFiles = map[[2]string]bool{
 	{"internal/core", "parallel.go"}:   true, // lockstep engine workers
 	{"internal/core", "async.go"}:      true, // async engine stage loops
 	{"internal/core", "cluster.go"}:    true, // per-replica round dispatch
-	{"internal/core", "infer.go"}:      true, // inference pipeline stage loops
 	{"internal/obs", "bus.go"}:         true, // metrics-bus pump (fan-out loop)
 	{"internal/serve", "server.go"}:    true, // admission batcher loop
 	{"cmd/serve", "main.go"}:           true, // HTTP listener + signal wait
@@ -36,6 +35,11 @@ var goroutineFiles = map[[2]string]bool{
 	// engines' existing stage goroutines, and Runner drives the cluster from
 	// its caller's goroutine — fault injection adds no concurrency surface of
 	// its own (DESIGN.md §14). This analyzer enforces that.
+	//
+	// internal/core's infer.go is deliberately absent too: the serving
+	// engine runs every forward in its caller's goroutine, because the
+	// serving tier holds one batch in flight at a time (DESIGN.md §12). Its
+	// only concurrency is each replica's tensor.Parallel kernel group.
 }
 
 func runGoroutineBudget(pass *Pass) {

@@ -76,11 +76,12 @@ type Report struct {
 
 // DeterministicEngine reports whether an engine selector's weight trajectory
 // is schedule-deterministic — the precondition for bit-exact recovery proofs.
-// The free-running async engine reorders updates under real concurrency, so
-// its recovery is correct but not bit-reproducible.
+// "seq" (the default) and "lockstep" are; the free-running "async" engine
+// reorders updates under real concurrency, so its recovery is correct but
+// not bit-reproducible.
 func DeterministicEngine(engine string) bool {
 	switch engine {
-	case "", "seq", "lockstep", "async-lockstep":
+	case "", "seq", "lockstep":
 		return true
 	}
 	return false

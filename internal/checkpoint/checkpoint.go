@@ -308,24 +308,12 @@ func Restore(st *State, net *nn.Network, opt *optim.Momentum) error {
 	return nil
 }
 
-// ResumeChecker lets a trainer veto a pipeline restore — for engine modes
-// whose schedule state cannot be checkpointed (the async engine's lockstep
-// mode derives its LR from per-worker round counters that restart at zero).
-type ResumeChecker interface {
-	CheckResume() error
-}
-
 // RestorePipeline loads a pipeline snapshot into a freshly constructed
 // trainer: network weights, per-stage velocities, previous weights and
 // update counters. The trainer must have the same pipeline decomposition
-// (stage count and parameter names) as the captured one; trainers
-// implementing ResumeChecker can refuse (nothing is mutated on error).
+// (stage count and parameter names) as the captured one; nothing is mutated
+// on error.
 func RestorePipeline(st *State, net *nn.Network, tr PipelineTrainer) error {
-	if rc, ok := tr.(ResumeChecker); ok {
-		if err := rc.CheckResume(); err != nil {
-			return err
-		}
-	}
 	if err := checkVersion(st.Version); err != nil {
 		return err
 	}
@@ -436,11 +424,6 @@ func RestoreCluster(st *State, ct ClusterTrainer) error {
 		tr, err := replicaPipeline(ct, i)
 		if err != nil {
 			return err
-		}
-		if rc, ok := tr.(ResumeChecker); ok {
-			if err := rc.CheckResume(); err != nil {
-				return fmt.Errorf("checkpoint: cluster replica %d: %w", i, err)
-			}
 		}
 		if err := validatePipelineState(cs.Replicas[i].Weights, cs.Replicas[i].Stages, ct.ReplicaNet(i), tr); err != nil {
 			return fmt.Errorf("checkpoint: cluster replica %d: %w", i, err)

@@ -300,7 +300,7 @@ func TestPipelineCheckpointAcrossEngines(t *testing.T) {
 
 	// Async free engine → sequential trainer (cross-engine restore).
 	netA := models.DeepMLP(6, 8, 3, 3, seed)
-	trA := core.NewAsyncPBTrainer(netA, cfg, core.ModeFree)
+	trA := core.NewAsyncPBTrainer(netA, cfg)
 	defer trA.Close()
 	feed(trA, 0, train.Len()/2)
 	stA, err := CapturePipeline(netA, trA, nil)
@@ -324,28 +324,6 @@ func TestPipelineCheckpointAcrossEngines(t *testing.T) {
 		}
 	}
 	feed(trS, train.Len()/2, train.Len()) // resumed trainer keeps training
-}
-
-// TestAsyncLockstepRefusesRestore: the async engine's lockstep mode derives
-// its LR schedule from per-worker round counters that a checkpoint cannot
-// capture, so RestorePipeline must fail loudly instead of silently resuming
-// at the wrong schedule position.
-func TestAsyncLockstepRefusesRestore(t *testing.T) {
-	seed := int64(13)
-	net := models.DeepMLP(6, 8, 2, 3, seed)
-	cfg := core.ScaledConfig(0.1, 0.9, 16, 1)
-	tr := core.NewAsyncPBTrainer(net, cfg, core.ModeLockstep)
-	defer tr.Close()
-	st, err := CapturePipeline(net, tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net2 := models.DeepMLP(6, 8, 2, 3, seed)
-	tr2 := core.NewAsyncPBTrainer(net2, cfg, core.ModeLockstep)
-	defer tr2.Close()
-	if err := RestorePipeline(st, net2, tr2); err == nil {
-		t.Fatal("expected lockstep-mode restore to be refused")
-	}
 }
 
 // TestRestorePipelineIsAtomic: a snapshot rejected by validation must leave
@@ -385,50 +363,6 @@ func TestRestorePipelineIsAtomic(t *testing.T) {
 			if after[i].W.Data[j] != before[i][j] {
 				t.Fatalf("rejected restore mutated %s", after[i].Name)
 			}
-		}
-	}
-}
-
-// TestAsyncLockstepCaptureResumesAsSeq: a drained async-lockstep run is
-// bit-identical to the sequential engine, and its checkpoint carries the
-// pipeline-step counter — so restoring into a seq trainer and continuing
-// must match the lockstep engine kept in memory, LR schedule included.
-func TestAsyncLockstepCaptureResumesAsSeq(t *testing.T) {
-	seed := int64(15)
-	train, _ := data.GaussianBlobs(6, 3, 64, 0, 1, 0.5, seed)
-	cfg := core.ScaledConfig(0.1, 0.9, 16, 1)
-	cfg.Schedule = sched.MultiStep{Base: cfg.LR, Milestones: []int{50, 90}, Gamma: 0.5}
-
-	netA := models.DeepMLP(6, 8, 3, 3, seed)
-	trA := core.NewAsyncPBTrainer(netA, cfg, core.ModeLockstep)
-	defer trA.Close()
-	feedA := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x, y := train.Sample(i)
-			trA.Submit(context.Background(), x, y)
-		}
-		trA.Drain(context.Background())
-	}
-	feedA(0, train.Len()/2)
-	st, err := CapturePipeline(netA, trA, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	netS := models.DeepMLP(6, 8, 3, 3, seed+21)
-	trS := core.NewPBTrainer(netS, cfg)
-	if err := RestorePipeline(st, netS, trS); err != nil {
-		t.Fatal(err)
-	}
-	feedA(train.Len()/2, train.Len())
-	for i := train.Len() / 2; i < train.Len(); i++ {
-		x, y := train.Sample(i)
-		trS.Submit(context.Background(), x, y)
-	}
-	trS.Drain(context.Background())
-	pa, ps := netA.Params(), netS.Params()
-	for i := range pa {
-		if !pa[i].W.AllClose(ps[i].W, 0) {
-			t.Fatalf("lockstep→seq resume deviates at %s", pa[i].Name)
 		}
 	}
 }

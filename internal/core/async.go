@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,34 +12,6 @@ import (
 	"repro/internal/optim"
 	"repro/internal/tensor"
 )
-
-// AsyncMode selects the scheduling discipline of the AsyncPBTrainer.
-type AsyncMode int
-
-const (
-	// ModeFree lets every stage free-run: a stage consumes work the moment
-	// it is available, with backward packets prioritized over forward and a
-	// per-stage cap on in-flight samples that bounds the observed gradient
-	// staleness at the paper's D_s = 2(S−1−s). Throughput mode; the exact
-	// interleaving (and therefore the float trajectory) depends on runtime
-	// scheduling.
-	ModeFree AsyncMode = iota
-	// ModeLockstep runs the same stage goroutines as a systolic array: every
-	// pipeline round each stage exchanges exactly one (possibly empty)
-	// forward and backward token with its neighbors, which reproduces the
-	// sequential PBTrainer's GProp schedule deterministically — the weight
-	// trajectory is bit-identical to PBTrainer. Tests use this mode to prove
-	// the concurrent engine computes the same thing.
-	ModeLockstep
-)
-
-// String names the mode.
-func (m AsyncMode) String() string {
-	if m == ModeLockstep {
-		return "lockstep"
-	}
-	return "free"
-}
 
 // asyncStage is one free-running pipeline worker: the engine-independent
 // stage state plus its inbound queues. Everything here is owned by the
@@ -88,11 +59,10 @@ func (st *asyncStage) emitObs() {
 // pending samples, so the number of weight updates between a sample's
 // forward and backward pass at that stage can never exceed the synchronous
 // schedule's delay (Eq. 5) — the free-running engine is at most as stale as
-// the paper's GProp schedule, per stage, always.
-//
-// In ModeLockstep the same goroutines run as a systolic array exchanging one
-// token per round with each neighbor, which reproduces the PBTrainer
-// schedule exactly; see AsyncMode.
+// the paper's GProp schedule, per stage, always. Backward packets are
+// consumed before forwards; the exact interleaving (and therefore the float
+// trajectory) depends on runtime scheduling. The deterministic concurrent
+// engine is ParallelPBTrainer.
 //
 // The driver API is streaming: Submit feeds one sample (blocking when the
 // pipeline is saturated — bounded queues give natural backpressure) and
@@ -100,9 +70,8 @@ func (st *asyncStage) emitObs() {
 // pipeline. ObservedDelays, Updates and Utilization must only be read with
 // the pipeline quiesced (after Drain or Close).
 type AsyncPBTrainer struct {
-	Net  *nn.Network
-	Cfg  Config
-	Mode AsyncMode
+	Net *nn.Network
+	Cfg Config
 
 	stages []*asyncStage
 	// resCh carries completed-sample results from the last stage back to
@@ -132,16 +101,8 @@ type AsyncPBTrainer struct {
 	nextID    int
 	// admitDeferred counts Submits that had to wait for the pipeline to fall
 	// back under Cfg.AdmitBound before admitting (bounded-staleness
-	// admission; free mode only).
+	// admission).
 	admitDeferred int
-	// step and lastPush drive the deterministic drain in lockstep mode:
-	// step counts tokens issued to stage 0 (≡ PBTrainer pipeline steps) and
-	// lastPush is the step of the most recent real sample. A sample pushed
-	// at step p completes at step p+2(S−1), so Drain issues empty tokens up
-	// to exactly that round — the same number of steps PBTrainer.Drain
-	// executes.
-	step     int
-	lastPush int
 	// Wall-clock accounting for measured utilization: the clock runs from
 	// the first Submit after idle until the Drain that empties the
 	// pipeline, so evaluation pauses between epochs don't dilute it.
@@ -154,13 +115,12 @@ type AsyncPBTrainer struct {
 
 // NewAsyncPBTrainer builds the engine around the same per-stage state as
 // NewPBTrainer and starts one goroutine per stage.
-func NewAsyncPBTrainer(net *nn.Network, cfg Config, mode AsyncMode) *AsyncPBTrainer {
+func NewAsyncPBTrainer(net *nn.Network, cfg Config) *AsyncPBTrainer {
 	inner := newPBTrainer(net, cfg) // reuse stage construction (optimizers, delays)
 	s := len(inner.stages)
 	t := &AsyncPBTrainer{
 		Net:       net,
 		Cfg:       cfg,
-		Mode:      mode,
 		resCh:     make(chan *Result, 2*s+4),
 		inputFree: make(chan *tensor.Tensor, maxFreeInputs),
 		donePing:  make(chan struct{}, 1),
@@ -168,26 +128,11 @@ func NewAsyncPBTrainer(net *nn.Network, cfg Config, mode AsyncMode) *AsyncPBTrai
 		dtype:     inner.dtype,
 	}
 	for i, st := range inner.stages {
-		as := &asyncStage{stageState: st}
-		if mode == ModeLockstep {
-			// Systolic tokens: capacity 2 lets neighbors skew by one round
-			// without blocking; backward channels start primed with two
-			// empty tokens so stage i's round r pairs with stage i+1's
-			// round r−2 gradient — exactly the one PBTrainer consumes at
-			// the same pipeline step.
-			as.fwdIn = make(chan *inflight, 2)
-			if i < s-1 {
-				as.bwdIn = make(chan *nn.Packet, 4)
-				as.bwdIn <- nil
-				as.bwdIn <- nil
-			}
-		} else {
-			as.fwdIn = make(chan *inflight, 1)
-			if i < s-1 {
-				// delay+2 ≥ max outstanding gradients toward this stage, so
-				// backward sends are wait-free (deadlock freedom).
-				as.bwdIn = make(chan *nn.Packet, st.delay+2)
-			}
+		as := &asyncStage{stageState: st, fwdIn: make(chan *inflight, 1)}
+		if i < s-1 {
+			// delay+2 ≥ max outstanding gradients toward this stage, so
+			// backward sends are wait-free (deadlock freedom).
+			as.bwdIn = make(chan *nn.Packet, st.delay+2)
 		}
 		t.stages = append(t.stages, as)
 	}
@@ -200,11 +145,7 @@ func NewAsyncPBTrainer(net *nn.Network, cfg Config, mode AsyncMode) *AsyncPBTrai
 	t.obsDrv = driverProducer(cfg.Obs)
 	for i := range t.stages {
 		t.wg.Add(1)
-		if mode == ModeLockstep {
-			go t.workerLock(i)
-		} else {
-			go t.workerFree(i)
-		}
+		go t.worker(i)
 	}
 	return t
 }
@@ -234,10 +175,8 @@ func (t *AsyncPBTrainer) ObservedDelays() []int {
 // StageOptimizer exposes stage i's optimizer so the async engine satisfies
 // checkpoint.PipelineTrainer. Like ObservedDelays, the stage accessors are
 // only valid with the pipeline quiesced (after Drain or Close). Resume is
-// exact for ModeFree, whose LR schedule is driven entirely by the per-stage
-// update counters that RestorePipeline restores; a ModeLockstep engine
-// should be resumed as "seq" or "lockstep" instead (its per-worker round
-// counters restart at zero and are not checkpointed).
+// exact: the LR schedule is driven entirely by the per-stage update counters
+// that RestorePipeline restores.
 func (t *AsyncPBTrainer) StageOptimizer(i int) *optim.Momentum { return t.stages[i].opt }
 
 // StageParams exposes stage i's parameters (for checkpointing).
@@ -253,42 +192,18 @@ func (t *AsyncPBTrainer) SetStageUpdates(i, updates int) {
 	t.stages[i].dropPrediction()
 }
 
-// UpdateStep reports the engine's schedule position. In ModeLockstep that
-// is the pipeline-step counter, which Drain keeps aligned with the
-// sequential engine's — so a drained lockstep run resumed as "seq" or
-// "lockstep" continues its LR schedule exactly. In ModeFree it is stage 0's
-// update count (the number of fully completed samples): free mode schedules
-// by per-stage update counts and has no global pipeline-step counter, so
-// the unit differs from PBTrainer.UpdateStep (which includes 2(S−1) drain
-// bubbles per Drain) — a cross-engine restore of a free-mode snapshot keeps
+// UpdateStep reports the engine's schedule position: stage 0's update count
+// (the number of fully completed samples). The engine schedules by
+// per-stage update counts and has no global pipeline-step counter, so the
+// unit differs from PBTrainer.UpdateStep (which includes 2(S−1) drain
+// bubbles per Drain) — a cross-engine restore of an async snapshot keeps
 // weights, optimizer state and per-stage counters exact, but the restored
 // global step only matches schedules expressed in sample counts.
-func (t *AsyncPBTrainer) UpdateStep() int {
-	if t.Mode == ModeLockstep {
-		return t.step
-	}
-	return t.stages[0].updates
-}
+func (t *AsyncPBTrainer) UpdateStep() int { return t.stages[0].updates }
 
-// SetUpdateStep aligns the lockstep-mode drain accounting with a restored
-// schedule position; ModeFree ignores the global step entirely (its LR
-// schedule runs off the per-stage counters).
-func (t *AsyncPBTrainer) SetUpdateStep(step int) {
-	t.step = step
-	t.lastPush = step
-}
-
-// CheckResume implements checkpoint.ResumeChecker: ModeFree resumes exactly
-// (its LR schedule is driven by the restored per-stage update counters);
-// ModeLockstep cannot, because its workers schedule by round counters that
-// restart at zero and are not captured — resume that trajectory with the
-// "seq" or "lockstep" engine instead.
-func (t *AsyncPBTrainer) CheckResume() error {
-	if t.Mode == ModeLockstep {
-		return errors.New("core: async lockstep mode cannot restore a checkpoint (round counters restart); resume with the seq or lockstep engine")
-	}
-	return nil
-}
+// SetUpdateStep is a no-op: the LR schedule runs off the per-stage counters
+// that SetStageUpdates restores.
+func (t *AsyncPBTrainer) SetUpdateStep(int) {}
 
 // Outstanding returns the number of samples in the pipeline as seen by the
 // driver (submitted minus completed).
@@ -352,13 +267,11 @@ func (t *AsyncPBTrainer) Submit(ctx context.Context, x *tensor.Tensor, label int
 		done = ctx.Done()
 	}
 	var rs []*Result
-	if b := t.Cfg.AdmitBound; b > 0 && t.Mode == ModeFree && t.Outstanding() >= b {
+	if b := t.Cfg.AdmitBound; b > 0 && t.Outstanding() >= b {
 		// Bounded-staleness admission: a straggling pipeline has backed up to
 		// the caller's staleness bound, so stop admitting and harvest
 		// completions until it falls back under. The saturated depth is
-		// published so degradation is visible live on the bus. Lockstep mode
-		// is exempt: its pipeline only advances on driver tokens, so gating
-		// admission there would deadlock the drain.
+		// published so degradation is visible live on the bus.
 		t.admitDeferred++
 		t.emitDriver(nil)
 		for t.Outstanding() >= b {
@@ -377,10 +290,6 @@ func (t *AsyncPBTrainer) Submit(ctx context.Context, x *tensor.Tensor, label int
 	for {
 		select {
 		case t.stages[0].fwdIn <- in:
-			if t.Mode == ModeLockstep {
-				t.lastPush = t.step
-				t.step++
-			}
 			rs = t.harvest(rs)
 			t.emitDriver(rs)
 			return rs, nil
@@ -400,12 +309,9 @@ func (t *AsyncPBTrainer) Submit(ctx context.Context, x *tensor.Tensor, label int
 }
 
 // Drain quiesces the pipeline: it waits until every submitted sample has
-// applied its final weight update and returns the collected results. In
-// lockstep mode it first issues exactly the empty rounds the sequential
-// schedule would execute, keeping the step counter (and any LR schedule)
-// aligned with PBTrainer. A cancelled ctx aborts the wait, returning the
-// results collected so far with ctx's error; samples may remain in flight
-// (Close abandons them).
+// applied its final weight update and returns the collected results. A
+// cancelled ctx aborts the wait, returning the results collected so far with
+// ctx's error; samples may remain in flight (Close abandons them).
 func (t *AsyncPBTrainer) Drain(ctx context.Context) ([]*Result, error) {
 	if t.closed {
 		if t.Outstanding() > 0 {
@@ -423,23 +329,6 @@ func (t *AsyncPBTrainer) Drain(ctx context.Context) ([]*Result, error) {
 		done = ctx.Done()
 	}
 	var rs []*Result
-	if t.Mode == ModeLockstep && t.submitted > 0 {
-		// Rounds are only owed for real samples: a Drain before the first
-		// Submit must issue none, exactly like PBTrainer.Drain on an empty
-		// pipeline, or the round counter (and any LR schedule) would run
-		// ahead of the sequential engine's step counter.
-		need := t.lastPush + 2*len(t.stages) - 1
-		for t.step < need {
-			select {
-			case t.stages[0].fwdIn <- nil:
-				t.step++
-			case r := <-t.resCh:
-				rs = append(rs, r)
-			case <-done:
-				return t.harvest(rs), ctx.Err()
-			}
-		}
-	}
 	for t.Outstanding() > 0 {
 		select {
 		case r := <-t.resCh:
@@ -499,18 +388,14 @@ func (t *AsyncPBTrainer) Close() {
 // useful-work share of the cores actually available. The busy windows are
 // self-timed wall clock, so when the runtime is oversubscribed (GOMAXPROCS
 // above the physical core count) descheduled time leaks in and the measure
-// can drift slightly above 1. Steps is only meaningful in lockstep mode
-// (the free-running engine has no global step counter and reports 0). Only
-// valid with the pipeline quiesced.
+// can drift slightly above 1. Steps is 0: the engine has no global step
+// counter. Only valid with the pipeline quiesced.
 func (t *AsyncPBTrainer) Stats() Stats {
 	s := Stats{
 		Stages:        len(t.stages),
 		Submitted:     t.submitted,
 		Completed:     int(t.completed.Load()),
 		AdmitDeferred: t.admitDeferred,
-	}
-	if t.Mode == ModeLockstep {
-		s.Steps = t.step
 	}
 	for _, st := range t.stages {
 		if st.maxObserved > s.MaxObservedDelay {
@@ -565,8 +450,8 @@ func (t *AsyncPBTrainer) retireInput(st *asyncStage, dx *nn.Packet) {
 	}
 }
 
-// freeLR returns the learning rate for stage i's next update in free mode.
-// There is no global step, so each stage schedules by its own update count
+// freeLR returns the learning rate for stage i's next update. There is no
+// global step, so each stage schedules by its own update count
 // shifted by its fill latency 2(S−1)−i — the step at which the synchronous
 // schedule would perform the same numbered update under continuous feeding.
 func (t *AsyncPBTrainer) freeLR(i int) float64 {
@@ -574,9 +459,9 @@ func (t *AsyncPBTrainer) freeLR(i int) float64 {
 	return t.Cfg.lrAt(st.updates + 2*(len(t.stages)-1) - i)
 }
 
-// workerFree is the free-running per-stage loop: gradients first, then
-// either work, with forwards gated by the staleness cap.
-func (t *AsyncPBTrainer) workerFree(i int) {
+// worker is the free-running per-stage loop: gradients first, then either
+// work, with forwards gated by the staleness cap.
+func (t *AsyncPBTrainer) worker(i int) {
 	defer t.wg.Done()
 	st := t.stages[i]
 	last := i == len(t.stages)-1
@@ -702,96 +587,5 @@ func (t *AsyncPBTrainer) freeBackward(i int, g *nn.Packet) bool {
 		return true
 	case <-t.stop:
 		return false
-	}
-}
-
-// workerLock is the systolic per-stage loop: each round receives one forward
-// and one backward token (possibly empty), computes, and emits one token to
-// each neighbor. Stage i's round r corresponds exactly to PBTrainer's
-// pipeline step r+i, making the schedule — and the weight trajectory —
-// bit-identical to the sequential engine.
-func (t *AsyncPBTrainer) workerLock(i int) {
-	defer t.wg.Done()
-	st := t.stages[i]
-	s := len(t.stages)
-	last := i == s-1
-	for round := 0; ; round++ {
-		var in *inflight
-		select {
-		case in = <-st.fwdIn:
-		case <-t.stop:
-			return
-		}
-		var g *nn.Packet
-		if !last {
-			select {
-			case g = <-st.bwdIn:
-			case <-t.stop:
-				return
-			}
-		}
-		lr := t.Cfg.lrAt(round + i)
-		var fwdOut *inflight
-		var res *Result
-		var dx *nn.Packet
-		didBwd := false
-		if in != nil {
-			st.stall(false)
-		}
-		if g != nil {
-			st.stall(true)
-		}
-		t0 := time.Now() //lint:allow(determinism) busy-time accounting for Stats.Utilization; never feeds the training math
-		if in != nil {
-			out := st.runForward(in)
-			if last {
-				// Same step: the loss gradient feeds this stage's own
-				// backward immediately, as in PBTrainer's backward sweep.
-				res, dx = t.lossBackward(i, in, out, lr)
-				didBwd = true
-			} else {
-				in.packet = out // reuse the inflight wrapper
-				fwdOut = in
-			}
-		}
-		if g != nil {
-			dx = st.runBackward(g, lr)
-			didBwd = true
-		}
-		if in != nil || g != nil {
-			// Only working rounds count as busy — and only their writes are
-			// ordered before the sample's final completion, which is what
-			// makes a post-Drain Stats read race-free: trailing empty drain
-			// rounds may still be in flight then.
-			st.busyNs += time.Since(t0).Nanoseconds() //lint:allow(determinism) busy-time accounting only
-			st.emitObs()
-		}
-		if !last {
-			select {
-			case t.stages[i+1].fwdIn <- fwdOut:
-			case <-t.stop:
-				return
-			}
-		} else if res != nil {
-			select {
-			case t.resCh <- res:
-			case <-t.stop:
-				return
-			}
-		}
-		if i > 0 {
-			var tok *nn.Packet
-			if didBwd {
-				tok = dx
-			}
-			select {
-			case t.stages[i-1].bwdIn <- tok:
-			case <-t.stop:
-				return
-			}
-		} else if didBwd {
-			t.retireInput(st, dx)
-			t.complete()
-		}
 	}
 }

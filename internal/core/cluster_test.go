@@ -86,7 +86,7 @@ func TestClusterR1MatchesEngine(t *testing.T) {
 		"avg-every-2": syncpol.AvgEvery{K: 2},
 		"sync-grad":   syncpol.SyncGrad{},
 	}
-	for _, engine := range []string{"seq", "lockstep", "async", "async-lockstep"} {
+	for _, engine := range []string{"seq", "lockstep", "async"} {
 		for mitName, mit := range mits {
 			for polName, pol := range policies {
 				// Every engine × policy combination is valid at R=1: the

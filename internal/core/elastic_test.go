@@ -228,7 +228,7 @@ func TestClusterCancelMidEpochNoLeak(t *testing.T) {
 	train, _ := data.GaussianBlobs(8, 4, 32, 0, 2.5, 1.0, 29)
 	perm := rand.New(rand.NewSource(5)).Perm(train.Len())
 	baseline := runtime.NumGoroutine()
-	for _, engine := range []string{"seq", "lockstep", "async", "async-lockstep"} {
+	for _, engine := range []string{"seq", "lockstep", "async"} {
 		pol := syncpol.Policy(syncpol.AvgEvery{K: 4})
 		if engine == "seq" || engine == "lockstep" {
 			pol = syncpol.SyncGrad{} // exercise the reducer teardown too

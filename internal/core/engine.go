@@ -20,10 +20,8 @@ import (
 //   - "seq":      PBTrainer — single-threaded, cycle-accurate reference.
 //   - "lockstep": ParallelPBTrainer — goroutine per stage, global barrier
 //     per half-step; bit-identical to seq, parallel within a step.
-//   - "async":    AsyncPBTrainer in ModeFree — free-running stages over
-//     bounded queues, no barrier; staleness capped at D_s per stage.
-//   - "async-lockstep": AsyncPBTrainer in ModeLockstep — the async runtime
-//     driven as a deterministic systolic array; bit-identical to seq.
+//   - "async":    AsyncPBTrainer — free-running stages over bounded
+//     queues, no barrier; staleness capped at D_s per stage.
 //
 // Additional engines can be added with RegisterEngine.
 //
@@ -137,10 +135,7 @@ func init() {
 		return NewParallelPBTrainer(net, cfg)
 	})
 	RegisterEngine("async", func(net *nn.Network, cfg Config) Engine {
-		return NewAsyncPBTrainer(net, cfg, ModeFree)
-	})
-	RegisterEngine("async-lockstep", func(net *nn.Network, cfg Config) Engine {
-		return NewAsyncPBTrainer(net, cfg, ModeLockstep)
+		return NewAsyncPBTrainer(net, cfg)
 	})
 }
 

@@ -72,7 +72,7 @@ func TestRegisterEngineRejectsDuplicatesAndNil(t *testing.T) {
 
 func TestEngineNamesListsBuiltins(t *testing.T) {
 	names := EngineNames()
-	for _, want := range []string{"seq", "lockstep", "async", "async-lockstep"} {
+	for _, want := range []string{"seq", "lockstep", "async"} {
 		if !slices.Contains(names, want) {
 			t.Fatalf("EngineNames() = %v, missing %q", names, want)
 		}
@@ -135,7 +135,7 @@ func TestEngineSubmitCancelled(t *testing.T) {
 	train, _ := data.GaussianBlobs(6, 3, 4, 0, 1, 0.5, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, kind := range []string{"seq", "lockstep", "async", "async-lockstep"} {
+	for _, kind := range []string{"seq", "lockstep", "async"} {
 		e, err := NewEngine(kind, models.DeepMLP(6, 8, 3, 3, 1), Config{LR: 0.01})
 		if err != nil {
 			t.Fatal(err)

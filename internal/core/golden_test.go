@@ -31,46 +31,32 @@ import (
 var trajectoryWant = []trajGolden{
 	{"mlp/None/seq", 0x51fc2caa516f5bb0},
 	{"mlp/None/lockstep", 0x51fc2caa516f5bb0},
-	{"mlp/None/async-lockstep", 0xf822fe52069f3334},
 	{"mlp/LWPvDSCD/seq", 0xcaca2ede43a01efb},
 	{"mlp/LWPvDSCD/lockstep", 0xcaca2ede43a01efb},
-	{"mlp/LWPvDSCD/async-lockstep", 0x0bf69f6e3fce6554},
 	{"mlp/LWPwDSCD/seq", 0x05e07b990716fc95},
 	{"mlp/LWPwDSCD/lockstep", 0x05e07b990716fc95},
-	{"mlp/LWPwDSCD/async-lockstep", 0x6e3c0d43363eef4e},
 	{"mlp/LWP2D/seq", 0xe248561706da08af},
 	{"mlp/LWP2D/lockstep", 0xe248561706da08af},
-	{"mlp/LWP2D/async-lockstep", 0x5a97004c3f4d3052},
 	{"mlp/SpecTrain/seq", 0x84db08c1ed650474},
 	{"mlp/SpecTrain/lockstep", 0x84db08c1ed650474},
-	{"mlp/SpecTrain/async-lockstep", 0x91fdbf73900645ca},
 	{"mlp/WeightStash/seq", 0xe406bd555f313399},
 	{"mlp/WeightStash/lockstep", 0xe406bd555f313399},
-	{"mlp/WeightStash/async-lockstep", 0x7ee0033904588cf7},
 	{"mlp/GradShrink/seq", 0xda73cdc342434db9},
 	{"mlp/GradShrink/lockstep", 0xda73cdc342434db9},
-	{"mlp/GradShrink/async-lockstep", 0x79efec1e1cbbb6c7},
 	{"resnet/None/seq", 0x1d26299a28b2731c},
 	{"resnet/None/lockstep", 0x1d26299a28b2731c},
-	{"resnet/None/async-lockstep", 0x4e75b7689bc9d903},
 	{"resnet/LWPvDSCD/seq", 0x88b5df88ad3b05c1},
 	{"resnet/LWPvDSCD/lockstep", 0x88b5df88ad3b05c1},
-	{"resnet/LWPvDSCD/async-lockstep", 0xbbba8e6e8be502ff},
 	{"resnet/LWPwDSCD/seq", 0x79f91873e4335fa6},
 	{"resnet/LWPwDSCD/lockstep", 0x79f91873e4335fa6},
-	{"resnet/LWPwDSCD/async-lockstep", 0xbf7a8006107221a9},
 	{"resnet/LWP2D/seq", 0xb02f3c82ed841440},
 	{"resnet/LWP2D/lockstep", 0xb02f3c82ed841440},
-	{"resnet/LWP2D/async-lockstep", 0x32e78946b96d338e},
 	{"resnet/SpecTrain/seq", 0x679060ad4ffd6cdd},
 	{"resnet/SpecTrain/lockstep", 0x679060ad4ffd6cdd},
-	{"resnet/SpecTrain/async-lockstep", 0x48b0b5fcb4fc5c3e},
 	{"resnet/WeightStash/seq", 0xc7d3a43a38dd5dcd},
 	{"resnet/WeightStash/lockstep", 0xc7d3a43a38dd5dcd},
-	{"resnet/WeightStash/async-lockstep", 0x08f4a915197371ce},
 	{"resnet/GradShrink/seq", 0xfe94df8d3c129e30},
 	{"resnet/GradShrink/lockstep", 0xfe94df8d3c129e30},
-	{"resnet/GradShrink/async-lockstep", 0x788fb3da687b9e8a},
 	{"cluster/None/avg-every-2", 0x412c2fc57bee15aa},
 	{"cluster/None/sync-grad", 0x3f5f8bc209069af1},
 	{"cluster/LWPvDSCD/avg-every-2", 0xf655c03adad33cab},
@@ -156,15 +142,14 @@ func trajectoryHashes(t *testing.T) []trajGolden {
 	var out []trajGolden
 	for _, m := range modelsAxis {
 		for _, mt := range trajMitigations {
-			for _, kind := range []string{"seq", "lockstep", "async-lockstep"} {
+			for _, kind := range []string{"seq", "lockstep"} {
 				net := m.build()
 				eng, err := NewEngine(kind, net, trajConfig(mt.mit))
 				if err != nil {
 					t.Fatal(err)
 				}
 				h := fnv.New64a()
-				// async-lockstep refuses checkpoint restores (CheckResume).
-				hashLosses(h, runTrajectory(t, eng, net, m.ds, kind != "async-lockstep"))
+				hashLosses(h, runTrajectory(t, eng, net, m.ds))
 				hashReplica(h, eng.(replicaView))
 				eng.Close()
 				out = append(out, trajGolden{m.name + "/" + mt.name + "/" + kind, h.Sum64()})
@@ -203,24 +188,22 @@ func trajectoryHashes(t *testing.T) []trajGolden {
 }
 
 // runTrajectory trains one engine over ds in thirds with a drain after each.
-// With restore set it snapshots the engine after the second third, trains a
-// detour of four samples, restores the snapshot into the same engine and
-// only then trains the last third. It returns every released result.
-func runTrajectory(t *testing.T, eng Engine, net *nn.Network, ds *data.Dataset, restore bool) []*Result {
+// It snapshots the engine after the second third, trains a detour of four
+// samples, restores the snapshot into the same engine and only then trains
+// the last third. It returns every released result.
+func runTrajectory(t *testing.T, eng Engine, net *nn.Network, ds *data.Dataset) []*Result {
 	t.Helper()
 	n := ds.Len()
 	rs := feedRange(eng, ds, 0, n/3)
 	rs = append(rs, feedRange(eng, ds, n/3, 2*n/3)...)
-	if restore {
-		tr := eng.(checkpoint.PipelineTrainer)
-		snap, err := checkpoint.CapturePipeline(net, tr, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs = append(rs, feedRange(eng, ds, 0, 4)...)
-		if err := checkpoint.RestorePipeline(snap, net, tr); err != nil {
-			t.Fatal(err)
-		}
+	tr := eng.(checkpoint.PipelineTrainer)
+	snap, err := checkpoint.CapturePipeline(net, tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs = append(rs, feedRange(eng, ds, 0, 4)...)
+	if err := checkpoint.RestorePipeline(snap, net, tr); err != nil {
+		t.Fatal(err)
 	}
 	return append(rs, feedRange(eng, ds, 2*n/3, n)...)
 }

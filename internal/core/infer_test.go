@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -51,7 +52,7 @@ func randBatch(batch int, shape []int, seed int64) *tensor.Tensor {
 }
 
 // mustInfer runs one request and fails the test on error.
-func mustInfer(t *testing.T, e InferEngine, x *tensor.Tensor) *tensor.Tensor {
+func mustInfer(t *testing.T, e *Infer, x *tensor.Tensor) *tensor.Tensor {
 	t.Helper()
 	y, err := e.Infer(context.Background(), x)
 	if err != nil {
@@ -74,9 +75,9 @@ func sameBits(t *testing.T, got, want *tensor.Tensor, label string) {
 	}
 }
 
-// TestInferMatchesTrainingForward is the bit-exactness matrix: both engines,
-// pooled and unpooled, several kernel-worker budgets, both model families —
-// every combination must reproduce nn.Network.Forward (the training forward)
+// TestInferMatchesTrainingForward is the bit-exactness matrix: pooled and
+// unpooled, several kernel-worker budgets, both model families — every
+// combination must reproduce nn.Network.Forward (the training forward)
 // exactly.
 func TestInferMatchesTrainingForward(t *testing.T) {
 	const seed = 41
@@ -87,39 +88,35 @@ func TestInferMatchesTrainingForward(t *testing.T) {
 		for i, s := range oracle.Stages {
 			s.ReleaseCtx(ctxs[i], nil)
 		}
-		for _, kind := range InferEngineNames() {
-			for _, unpooled := range []bool{false, true} {
-				for _, workers := range []int{0, 2, 4} {
-					eng, err := NewInferEngine(kind, []*nn.Network{m.build(seed)}, InferConfig{
-						Workers:  workers,
-						Unpooled: unpooled,
-					})
-					if err != nil {
-						t.Fatalf("%s/%s: %v", m.name, kind, err)
-					}
-					label := m.name + "/" + kind
-					// Two passes so the pooled path also covers warmed arenas.
-					sameBits(t, mustInfer(t, eng, x.Clone()), want, label)
-					sameBits(t, mustInfer(t, eng, x.Clone()), want, label)
-					st := eng.Stats()
-					if st.Submitted != 2 || st.Completed != 2 {
-						t.Fatalf("%s: stats %+v, want 2 submitted/completed", label, st)
-					}
-					eng.Close()
+		for _, unpooled := range []bool{false, true} {
+			for _, workers := range []int{0, 2, 4} {
+				eng, err := NewInfer([]*nn.Network{m.build(seed)}, InferConfig{
+					Workers:  workers,
+					Unpooled: unpooled,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", m.name, err)
 				}
+				// Two passes so the pooled path also covers warmed arenas.
+				sameBits(t, mustInfer(t, eng, x.Clone()), want, m.name)
+				sameBits(t, mustInfer(t, eng, x.Clone()), want, m.name)
+				st := eng.Stats()
+				if st.Submitted != 2 || st.Completed != 2 {
+					t.Fatalf("%s: stats %+v, want 2 submitted/completed", m.name, st)
+				}
+				eng.Close()
 			}
 		}
 	}
 }
 
-// TestInferReplicasShareWeights runs a multi-replica pipelined engine and
-// checks every replica (round-robin) computes identical logits from the one
+// TestInferReplicasShareWeights runs a multi-replica engine and checks every replica (round-robin) computes identical logits from the one
 // shared weight set.
 func TestInferReplicasShareWeights(t *testing.T) {
 	m := inferModels()[0]
 	const seed = 43
 	nets := []*nn.Network{m.build(seed), m.build(seed), m.build(seed)}
-	eng, err := NewInferEngine("pipelined", nets, InferConfig{Workers: 3})
+	eng, err := NewInfer(nets, InferConfig{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +187,7 @@ func TestInferCheckpointVersions(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			eng, err := NewInferEngine("pipelined", []*nn.Network{m.build(seed)}, InferConfig{Workers: 2})
+			eng, err := NewInfer([]*nn.Network{m.build(seed)}, InferConfig{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +220,7 @@ func TestInferCheckpointVersions(t *testing.T) {
 // the published set.
 func TestInferSwapRejectsMismatch(t *testing.T) {
 	m := inferModels()[0]
-	eng, err := NewInferEngine("direct", []*nn.Network{m.build(1)}, InferConfig{})
+	eng, err := NewInfer([]*nn.Network{m.build(1)}, InferConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +249,7 @@ func TestInferHotSwapUnderLoad(t *testing.T) {
 		swaps   = 12
 	)
 	nets := []*nn.Network{m.build(seedA), m.build(seedA)}
-	eng, err := NewInferEngine("pipelined", nets, InferConfig{Workers: 2})
+	eng, err := NewInfer(nets, InferConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,49 +343,102 @@ func TestInferHotSwapUnderLoad(t *testing.T) {
 }
 
 // TestInferClose checks the lifecycle edges: Close is idempotent, and Infer
-// after Close fails with ErrInferClosed on both engines.
+// after Close fails with ErrInferClosed.
 func TestInferClose(t *testing.T) {
 	m := inferModels()[0]
-	for _, kind := range InferEngineNames() {
-		eng, err := NewInferEngine(kind, []*nn.Network{m.build(1)}, InferConfig{})
+	eng, err := NewInfer([]*nn.Network{m.build(1)}, InferConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustInfer(t, eng, randBatch(1, m.shape, 2))
+	eng.Close()
+	eng.Close()
+	if _, err := eng.Infer(context.Background(), randBatch(1, m.shape, 2)); err != ErrInferClosed {
+		t.Fatalf("Infer after Close = %v, want ErrInferClosed", err)
+	}
+}
+
+// TestInferCloseDuringInfer closes the engine while callers are mid-request
+// on replicas with live kernel-worker groups. Close must wait for a running
+// forward before closing its group (the race detector flags it otherwise),
+// every call must end in logits or ErrInferClosed, and nothing may hang.
+func TestInferCloseDuringInfer(t *testing.T) {
+	m := inferModels()[1]
+	const callers = 4
+	for round := 0; round < 5; round++ {
+		// One replica, so the whole budget forms one live kernel group.
+		eng, err := NewInfer([]*nn.Network{m.build(7)}, InferConfig{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mustInfer(t, eng, randBatch(1, m.shape, 2))
+		x := randBatch(4, m.shape, 8)
+		var wg sync.WaitGroup
+		errs := make(chan error, callers)
+		started := make(chan struct{}, callers)
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				started <- struct{}{}
+				for {
+					y, err := eng.Infer(context.Background(), x.Clone())
+					if err == ErrInferClosed {
+						return
+					}
+					if err != nil || y == nil {
+						errs <- fmt.Errorf("Infer during Close: logits %v, err %v", y, err)
+						return
+					}
+				}
+			}()
+		}
+		for c := 0; c < callers; c++ {
+			<-started
+		}
 		eng.Close()
-		eng.Close()
-		if _, err := eng.Infer(context.Background(), randBatch(1, m.shape, 2)); err != ErrInferClosed {
-			t.Fatalf("%s: Infer after Close = %v, want ErrInferClosed", kind, err)
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("callers still blocked 10 s after Close")
+		}
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
 		}
 	}
 }
 
-// TestInferRegistry pins the registry surface: both built-ins present, ""
-// resolves to pipelined, unknown names fail with the known list.
-func TestInferRegistry(t *testing.T) {
-	names := InferEngineNames()
-	want := []string{"direct", "pipelined"}
-	if len(names) < len(want) {
-		t.Fatalf("InferEngineNames() = %v, want at least %v", names, want)
-	}
-	for _, w := range want {
-		found := false
-		for _, n := range names {
-			if n == w {
-				found = true
+// TestInferArenaBounded pins the serving heap: once every batch size the
+// batcher can form has run once, further mixed-size requests reuse pooled
+// buffers and allocate no new arena tensors.
+func TestInferArenaBounded(t *testing.T) {
+	const maxBatch = 8
+	for _, m := range inferModels() {
+		eng, err := NewInfer([]*nn.Network{m.build(3)}, InferConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		news := func() int {
+			total := 0
+			for _, rep := range eng.reps {
+				n, _ := rep.arena.Allocs()
+				total += n
 			}
+			return total
 		}
-		if !found {
-			t.Fatalf("InferEngineNames() = %v, missing %q", names, w)
+		for b := 1; b <= maxBatch; b++ {
+			mustInfer(t, eng, randBatch(b, m.shape, int64(b)))
 		}
-	}
-	m := inferModels()[0]
-	eng, err := NewInferEngine("", []*nn.Network{m.build(1)}, InferConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Close()
-	if _, err := NewInferEngine("bogus", []*nn.Network{m.build(1)}, InferConfig{}); err == nil {
-		t.Fatal("NewInferEngine accepted an unknown kind")
+		warm := news()
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; i < 200; i++ {
+			mustInfer(t, eng, randBatch(1+rng.Intn(maxBatch), m.shape, int64(i)))
+		}
+		if grew := news() - warm; grew != 0 {
+			t.Fatalf("%s: arena allocated %d new buffers over 200 warmed requests, want 0", m.name, grew)
+		}
+		eng.Close()
 	}
 }

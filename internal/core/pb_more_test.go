@@ -48,7 +48,7 @@ func TestPredictionDroppedAtQuiescence(t *testing.T) {
 		}
 		return true
 	}
-	for _, kind := range []string{"seq", "lockstep", "async", "async-lockstep"} {
+	for _, kind := range []string{"seq", "lockstep", "async"} {
 		cfg := ScaledConfig(0.1, 0.9, 16, 1)
 		cfg.Mitigation = LWPvDSCD
 		eng, err := NewEngine(kind, models.DeepMLP(6, 8, 3, 3, 62), cfg)

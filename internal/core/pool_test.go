@@ -94,8 +94,7 @@ func TestPooledMatchesUnpooledResNet(t *testing.T) {
 		kind    string
 		workers int
 	}{
-		{"seq", 0}, {"lockstep", 0}, {"async-lockstep", 0},
-		{"seq", 4}, {"lockstep", 48}, {"async-lockstep", 48},
+		{"seq", 0}, {"lockstep", 0}, {"seq", 4}, {"lockstep", 48},
 	} {
 		netP := build()
 		cfgW := cfg

@@ -66,7 +66,7 @@ var DefaultRef = train.DefaultRef
 
 // MethodSpec names a training method: either the SGDM reference (mini-batch,
 // no pipeline) or PB with a mitigation preset. Engine selects the PB runtime
-// ("seq"|"lockstep"|"async"|"async-lockstep", see core.NewEngine); empty
+// ("seq"|"lockstep"|"async", see core.NewEngine); empty
 // means the sequential reference engine. Replicas > 0 runs that many
 // data-parallel pipeline replicas behind the cluster engine, coordinated by
 // the Sync policy ("none" | "avg-every-<k>" | "sync-grad"; see

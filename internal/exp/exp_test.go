@@ -188,9 +188,9 @@ func TestRunMethodEngineSelection(t *testing.T) {
 	build := CIFARFamilies(tiny, 4, false)[3].Build // RN20 mini
 
 	seq := RunMethod(build, train, test, MethodSpec{Name: "PB"}, DefaultRef, 1, nil, 5)
-	det := RunMethod(build, train, test, MethodSpec{Name: "PB", Engine: "async-lockstep"}, DefaultRef, 1, nil, 5)
+	det := RunMethod(build, train, test, MethodSpec{Name: "PB", Engine: "lockstep"}, DefaultRef, 1, nil, 5)
 	if seq.FinalValAcc != det.FinalValAcc || seq.FinalLoss != det.FinalLoss {
-		t.Fatalf("async-lockstep engine deviates: seq (%.6f, %.6f) vs async-lockstep (%.6f, %.6f)",
+		t.Fatalf("lockstep engine deviates: seq (%.6f, %.6f) vs lockstep (%.6f, %.6f)",
 			seq.FinalLoss, seq.FinalValAcc, det.FinalLoss, det.FinalValAcc)
 	}
 	free := RunMethod(build, train, test, MethodSpec{Name: "PB", Engine: "async"}, DefaultRef, 1, nil, 5)

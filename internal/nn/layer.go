@@ -24,7 +24,7 @@ import (
 // ReleaseCtx is the forward-only alternative to Backward: it recycles
 // everything a Forward context retains (held activations into ar, pooled
 // context structs back onto the layer's free lists) without computing any
-// gradient. Inference pipelines call it right after consuming a stage's
+// gradient. The inference engine calls it right after consuming a stage's
 // output so contexts never accumulate. It must accept a nil ctx and, like
 // Backward, must not touch free lists when ar == nil.
 type Layer interface {

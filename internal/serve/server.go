@@ -6,7 +6,7 @@
 // Requests are admitted one sample at a time; a single batcher goroutine
 // coalesces whatever is queued — up to MaxBatch samples or until the oldest
 // request's deadline budget (arrival + BatchWindow) expires — into one
-// [B, ...] tensor, so one pipeline pass (and one tensor.Parallel kernel
+// [B, ...] tensor, so one forward pass (and one tensor.Parallel kernel
 // fan-out) amortizes across B requests. Under light load the window expires
 // with a single sample (latency-bound); under heavy load batches fill before
 // the deadline (throughput-bound). Every request is answered exactly once:
@@ -38,7 +38,7 @@ type Config struct {
 	Backend *train.Server
 	// InputShape is the per-sample activation shape (e.g. [3,8,8]).
 	InputShape []int
-	// MaxBatch caps how many queued requests coalesce into one pipeline
+	// MaxBatch caps how many queued requests coalesce into one forward
 	// pass (default 8).
 	MaxBatch int
 	// BatchWindow is each request's deadline budget: a batch is dispatched
@@ -185,12 +185,16 @@ func (s *Server) enqueue(r *request) bool {
 	if s.draining {
 		return false
 	}
+	// The level rises before the send: once r is queued the batcher may
+	// answer it, and its Dec must find this Inc already counted (the gauge
+	// clamps at zero, so a Dec that ran first would be lost).
+	s.depth.Inc()
 	select {
 	case s.queue <- r:
 		s.accepted.Add(1)
-		s.depth.Inc()
 		return true
 	default:
+		s.depth.Dec()
 		return false
 	}
 }
@@ -254,7 +258,7 @@ func (s *Server) fill(batch *[]*request) {
 	}
 }
 
-// runBatch packs the batch into one [B, ...] tensor, runs a single pipeline
+// runBatch packs the batch into one [B, ...] tensor, runs a single forward
 // pass, and answers every request. Responses go to buffered channels, so an
 // abandoned client never blocks the batcher.
 func (s *Server) runBatch(batch []*request) {
@@ -288,18 +292,20 @@ func (s *Server) runBatch(batch []*request) {
 	}
 }
 
-// answer delivers exactly one response and settles the request's counters.
+// answer settles the request's counters, then delivers exactly one
+// response, so a client holding its response already sees itself counted in
+// Stats.
 func (s *Server) answer(r *request, resp response) {
-	r.resp <- resp
 	s.depth.Dec()
 	if resp.err != nil {
 		s.failed.Add(1)
-		return
+	} else {
+		s.completed.Add(1)
+		ms := float64(time.Since(r.enq)) / float64(time.Millisecond)
+		s.latency.Observe(ms)
+		s.prod.Emit(obs.Event{Kind: obs.KindLatency, Stage: -1, Value: ms})
 	}
-	s.completed.Add(1)
-	ms := float64(time.Since(r.enq)) / float64(time.Millisecond)
-	s.latency.Observe(ms)
-	s.prod.Emit(obs.Event{Kind: obs.KindLatency, Stage: -1, Value: ms})
+	r.resp <- resp
 }
 
 // softmax returns the row's probabilities and argmax, numerically stable.
@@ -324,8 +330,8 @@ func softmax(row []float64) ([]float64, int) {
 
 // Shutdown gracefully drains the server: stop admitting, flush the queue,
 // answer everything in flight, then return. It does not close the backend —
-// the owner does that once Shutdown returns (so late pipeline flights still
-// complete). Idempotent; ctx bounds the wait.
+// the owner does that once Shutdown returns (so a forward pass still
+// running completes). Idempotent; ctx bounds the wait.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutOnce.Do(func() {
 		s.admitMu.Lock()
@@ -402,6 +408,26 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// Request bodies are read through http.MaxBytesReader, so a hostile client
+// cannot make a handler buffer an unbounded body. A predict body may spend
+// predictBytesPerValue bytes on each input value (more than any float64
+// encoding needs) plus predictBodySlack; a swap body names one path.
+const (
+	predictBytesPerValue = 64
+	predictBodySlack     = 4 << 10
+	maxSwapBody          = 16 << 10
+)
+
+// bodyStatus maps a body-decoding error to its status: 413 for an oversized
+// body, 400 otherwise.
+func bodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func (s *Server) handlePredict(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -410,8 +436,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, req *http.Request) {
 	var in struct {
 		Input []float64 `json:"input"`
 	}
-	if err := json.NewDecoder(req.Body).Decode(&in); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	body := http.MaxBytesReader(w, req.Body, int64(predictBytesPerValue*s.sample+predictBodySlack))
+	if err := json.NewDecoder(body).Decode(&in); err != nil {
+		http.Error(w, "bad request: "+err.Error(), bodyStatus(err))
 		return
 	}
 	if len(in.Input) != s.sample {
@@ -462,8 +489,9 @@ func (s *Server) handleSwap(w http.ResponseWriter, req *http.Request) {
 	var in struct {
 		Path string `json:"path"`
 	}
-	if err := json.NewDecoder(req.Body).Decode(&in); err != nil || in.Path == "" {
-		http.Error(w, "bad request: want {\"path\":...}", http.StatusBadRequest)
+	body := http.MaxBytesReader(w, req.Body, maxSwapBody)
+	if err := json.NewDecoder(body).Decode(&in); err != nil || in.Path == "" {
+		http.Error(w, "bad request: want {\"path\":...}", bodyStatus(err))
 		return
 	}
 	old, err := s.cfg.Backend.LoadCheckpoint(in.Path)

@@ -150,8 +150,56 @@ func TestPredictValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedBodiesRejected sends bodies past the read caps: predict and
+// swap must answer 413 without buffering them, and the same server must
+// then answer a good request. The longest float64 encodings still fit. The
+// oversized bodies stay within a few KiB of the caps, so the client has
+// written all of each before the server answers and closes the connection.
+func TestOversizedBodiesRejected(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	big, err := json.Marshal(map[string]any{"input": make([]float64, 4000)}) // ≈ 8 KiB
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := post("/v1/predict", big); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized predict: status %d, want 413", code)
+	}
+	longPath, err := json.Marshal(map[string]string{"path": string(bytes.Repeat([]byte("a"), 20<<10))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := post("/v1/swap", longPath); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized swap: status %d, want 413", code)
+	}
+
+	widest := make([]float64, 8)
+	for i := range widest {
+		widest[i] = -2.2250738585072014e-308 // the longest shortest-form float64s
+	}
+	b, err := json.Marshal(map[string]any{"input": widest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := post("/v1/predict", b); code != http.StatusOK {
+		t.Fatalf("good predict after oversized bodies: status %d, want 200", code)
+	}
+}
+
 // TestBatchingCoalesces floods the server with concurrent requests and
-// checks the batcher actually coalesces them: far fewer pipeline passes than
+// checks the batcher actually coalesces them: far fewer forward passes than
 // requests, every request answered.
 func TestBatchingCoalesces(t *testing.T) {
 	s, _ := newTestServer(t, Config{MaxBatch: 8, BatchWindow: 50 * time.Millisecond})

@@ -145,3 +145,37 @@ func TestServerF32ServesAndSwaps(t *testing.T) {
 		}
 	}
 }
+
+// TestServerEngineNames pins ServerConfig.Engine: "", "pipelined" and
+// "direct" all select the one in-caller engine and serve the same logits;
+// any other name is refused.
+func TestServerEngineNames(t *testing.T) {
+	_, _, build := blobTask()
+	x := tensor.New(2, 8)
+	for i := range x.Data {
+		x.Data[i] = float64(i%7) * 0.2
+	}
+	var want *tensor.Tensor
+	for _, name := range []string{"", "pipelined", "direct"} {
+		s, err := train.NewServer(build, train.ServerConfig{Engine: name})
+		if err != nil {
+			t.Fatalf("Engine %q: %v", name, err)
+		}
+		y, err := s.Infer(context.Background(), x.Clone())
+		s.Close()
+		if err != nil {
+			t.Fatalf("Engine %q: %v", name, err)
+		}
+		if want == nil {
+			want = y
+		}
+		for i := range want.Data {
+			if y.Data[i] != want.Data[i] {
+				t.Fatalf("Engine %q: logits[%d] = %v, want %v", name, i, y.Data[i], want.Data[i])
+			}
+		}
+	}
+	if _, err := train.NewServer(build, train.ServerConfig{Engine: "bogus"}); err == nil {
+		t.Fatal("NewServer accepted an unknown engine name")
+	}
+}

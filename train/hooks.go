@@ -8,10 +8,9 @@ import (
 
 // SampleEvent is streamed to OnSampleDone callbacks for every completed
 // training sample, in completion order. For the deterministic engines
-// ("seq", "lockstep", "async-lockstep") the event sequence is identical
-// run to run and across those engines; the free-running "async" engine
-// completes samples in ID order too, but interleaves them differently
-// against submissions.
+// ("seq" and "lockstep") the event sequence is identical run to run and
+// across those engines; the free-running "async" engine completes samples
+// in ID order too, but interleaves them differently against submissions.
 type SampleEvent struct {
 	// Epoch is the 1-based epoch (counted over the Trainer's lifetime).
 	Epoch int

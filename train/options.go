@@ -63,8 +63,8 @@ func defaultOptions() options {
 }
 
 // WithEngine selects the pipelined-backpropagation runtime by registry name
-// (core.EngineNames lists them; "seq", "lockstep", "async" and
-// "async-lockstep" are built in). The empty string keeps the sequential
+// (core.EngineNames lists them; "seq", "lockstep" and "async" are built
+// in). The empty string keeps the sequential
 // reference. Unknown names surface as an error from Fit, when the engine is
 // constructed.
 func WithEngine(name string) Option {
@@ -210,8 +210,8 @@ func WithStageDelay(fn func(core.ChaosPoint) time.Duration) Option {
 // once n submissions are unfinished, Submit blocks (bounded-staleness
 // admission) until one completes, emitting staleness/queue-depth events on
 // the observer bus and counting the deferral in Stats().AdmitDeferred. Only
-// the "async" engine's free mode enforces the bound — the stepped engines
-// already bound staleness structurally and ignore it. Zero (the default)
+// the "async" engine enforces the bound — the stepped engines already bound
+// staleness structurally and ignore it. Zero (the default)
 // means unbounded.
 func WithAdmitBound(n int) Option {
 	return func(o *options) {

@@ -3,6 +3,7 @@ package train
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 
 	"repro/internal/checkpoint"
@@ -13,23 +14,24 @@ import (
 )
 
 // This file is the serving facade: the same Builder the training facade
-// consumes, wired to a forward-only inference engine (core.InferEngine)
-// instead of a trainer. A Server never runs backward passes; checkpoints are
+// consumes, wired to the forward-only inference engine (core.Infer) instead
+// of a trainer. A Server never runs backward passes; checkpoints are
 // restored read-only into a private loader network and published to the
 // engine as immutable weight sets, so a hot swap never disturbs in-flight
 // requests.
 
 // ServerConfig configures NewServer.
 type ServerConfig struct {
-	// Engine selects the inference engine kind from the registry:
-	// "pipelined" (default, goroutine per stage) or "direct" (serialized
-	// in-caller forward, the bit-exactness oracle).
+	// Engine names the inference engine. There is one, the in-caller forward
+	// (core.Infer); "", "pipelined" and "direct" all select it, and any other
+	// value is an error. The two names remain for callers that still pass
+	// them.
 	Engine string
-	// Replicas is the number of pipeline replicas sharing the weight set
-	// (default 1).
+	// Replicas is the number of serialized forward replicas sharing the
+	// weight set (default 1).
 	Replicas int
-	// KernelWorkers is the total kernel-worker budget, split across replicas
-	// and stages like the training engines.
+	// KernelWorkers is the total kernel-worker budget, split across
+	// replicas.
 	KernelWorkers int
 	// Unpooled disables arena pooling (reference mode).
 	Unpooled bool
@@ -40,9 +42,8 @@ type ServerConfig struct {
 	// server accepts requests.
 	Checkpoint string
 	// Obs, when non-nil, attaches the metrics bus to the inference engine:
-	// per-stage queue depths and lifetime completion counters stream onto it
-	// (see train.WithObserver for the training-side equivalent). The caller
-	// owns the bus.
+	// lifetime completion counters stream onto it (see train.WithObserver
+	// for the training-side equivalent). The caller owns the bus.
 	Obs *obs.Bus
 	// DType selects the serving dtype: tensor.F64 (zero value, the bit-exact
 	// oracle) or tensor.F32 (SIMD kernel path). Checkpoints stay canonical
@@ -55,7 +56,7 @@ type ServerConfig struct {
 
 // Server is the forward-only serving facade over a Builder.
 type Server struct {
-	eng core.InferEngine
+	eng *core.Infer
 	// loader is a private network used only to decode checkpoints into; it
 	// is never installed into the engine, so restoring into it cannot
 	// corrupt the weight views live requests are reading.
@@ -68,6 +69,11 @@ type Server struct {
 func NewServer(build Builder, cfg ServerConfig) (*Server, error) {
 	if build == nil {
 		return nil, errors.New("train: nil Builder")
+	}
+	switch cfg.Engine {
+	case "", "pipelined", "direct":
+	default:
+		return nil, fmt.Errorf("train: unknown ServerConfig.Engine %q (want \"\", \"pipelined\" or \"direct\")", cfg.Engine)
 	}
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 1
@@ -105,7 +111,7 @@ func NewServer(build Builder, cfg ServerConfig) (*Server, error) {
 	// f64 value through Param.SetData, so CaptureWeights publishes f32 sets
 	// directly.
 	loader.ConvertTo(cfg.DType)
-	eng, err := core.NewInferEngine(cfg.Engine, nets, core.InferConfig{
+	eng, err := core.NewInfer(nets, core.InferConfig{
 		Workers:  cfg.KernelWorkers,
 		Unpooled: cfg.Unpooled,
 		Obs:      cfg.Obs,
@@ -124,7 +130,7 @@ func NewServer(build Builder, cfg ServerConfig) (*Server, error) {
 }
 
 // Infer runs one input tensor (a sample or a coalesced micro-batch
-// [N, ...]) through the pipeline and returns the caller-owned logits.
+// [N, ...]) through the network and returns the caller-owned logits.
 func (s *Server) Infer(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, error) {
 	return s.eng.Infer(ctx, x)
 }
@@ -158,7 +164,7 @@ func (s *Server) SwapState(st *checkpoint.State) (*core.WeightSet, error) {
 func (s *Server) Stats() core.InferStats { return s.eng.Stats() }
 
 // Weights returns the currently published weight set (see
-// core.InferEngine.Weights).
+// core.Infer.Weights).
 func (s *Server) Weights() *core.WeightSet { return s.eng.Weights() }
 
 // Close shuts the engine down. Callers that need a zero-drop shutdown must

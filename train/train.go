@@ -15,8 +15,8 @@
 // hyperparameters (RefHyper) are Eq. 9-scaled to update size one for the
 // pipelined engines, and a He-style MultiStep decay fires at 50% and 75% of
 // the planned updates unless WithSchedule overrides it. The deterministic
-// engines ("seq", "lockstep", "async-lockstep") produce bit-identical
-// weight trajectories through this façade for a given seed.
+// engines ("seq" and "lockstep") produce bit-identical weight trajectories
+// through this façade for a given seed.
 //
 // Cancelling ctx mid-epoch stops the run at the next engine interaction,
 // closes the engine (unwinding every stage goroutine — no leaks), and

@@ -163,7 +163,7 @@ func TestFitCancelMidEpoch(t *testing.T) {
 	}()
 	build := func(seed int64) *nn.Network { return models.DeepMLP(8, 12, 4, 4, seed) }
 	baseline := runtime.NumGoroutine()
-	for _, kind := range []string{"seq", "lockstep", "async", "async-lockstep"} {
+	for _, kind := range []string{"seq", "lockstep", "async"} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancelled := 0
 		tr := train.New(build,
@@ -368,12 +368,12 @@ func TestOptionAndInputValidation(t *testing.T) {
 	}
 }
 
-// TestFacadeAsyncEnginesTrain drives the remaining engines through the
-// façade end to end: the async engines must complete every sample, respect
-// the staleness bound, and report sane stats.
+// TestFacadeAsyncEnginesTrain drives the concurrent engines through the
+// façade end to end: they must complete every sample, respect the staleness
+// bound, and report sane stats.
 func TestFacadeAsyncEnginesTrain(t *testing.T) {
 	trainSet, testSet, build := blobTask()
-	for _, kind := range []string{"async", "async-lockstep"} {
+	for _, kind := range []string{"async", "lockstep"} {
 		tr := train.New(build, train.WithEngine(kind), train.WithSeed(2))
 		rep, err := tr.Fit(context.Background(), trainSet, testSet, 2)
 		if err != nil {
