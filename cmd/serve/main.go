@@ -10,7 +10,7 @@
 //	-addr :8097         listen address
 //	-model resnet       model family: resnet (mini ResNet-20, [3,8,8] inputs)
 //	                    or mlp (deep MLP, [48] inputs)
-//	-ckpt path          checkpoint to load at startup (any version v1–v3)
+//	-ckpt path          checkpoint to load at startup (SGDM, pipeline or cluster)
 //	-replicas 1         forward replicas sharing the weight set
 //	-kernel-workers 0   total kernel-worker budget
 //	-batch 8            max coalesced micro-batch size

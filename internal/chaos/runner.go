@@ -243,12 +243,17 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 			ord := saveOrdinal
 			saveOrdinal++
 			if sched.FailsCheckpoint(ord) {
-				// The writer is atomic (tmp + rename): a failed save leaves
-				// the previous snapshot on disk, so recovery falls back to it.
+				// The writer is atomic and durable (tmp + fsync + rename): a
+				// failed save leaves the previous snapshot on disk, so
+				// recovery falls back to it.
 				rep.FailedSaves++
 				emitFault(FailCheckpoint, -1, -1, t)
 			} else {
-				if err := checkpoint.SaveCluster(ckptPath, cl, map[string]string{"scenario": spec.Name}); err != nil {
+				st, err := checkpoint.Capture(cl, map[string]string{"scenario": spec.Name})
+				if err == nil {
+					err = checkpoint.Write(ckptPath, st)
+				}
+				if err != nil {
 					return rep, err
 				}
 				lastGood, lastGoodReplicas = t, cl.Replicas()
@@ -273,7 +278,11 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 			if err != nil {
 				return rep, err
 			}
-			if _, err := checkpoint.LoadCluster(ckptPath, ncl); err != nil {
+			st, err := checkpoint.Read(ckptPath)
+			if err == nil {
+				err = checkpoint.Restore(st, ncl)
+			}
+			if err != nil {
 				ncl.Close()
 				return rep, fmt.Errorf("chaos: %s: recover at sample %d: %w", spec.Name, t, err)
 			}

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"context"
 	"path/filepath"
 	"testing"
@@ -16,34 +15,47 @@ import (
 	"repro/internal/tensor"
 )
 
-func TestRoundTripWeights(t *testing.T) {
-	net := models.DeepMLP(4, 8, 2, 3, 1)
-	st, err := Capture(net, nil, 42, map[string]string{"method": "pb"})
+// roundTrip writes st to a fresh file and reads it back.
+func roundTrip(t *testing.T, st *State) *State {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ckpt.gob")
+	if err := Write(path, st); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Read(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Step != 42 || st2.Meta["method"] != "pb" {
-		t.Fatalf("metadata lost: %+v", st2)
-	}
-	// Mutate and restore.
-	net2 := models.DeepMLP(4, 8, 2, 3, 99)
-	if err := Restore(st2, net2, nil); err != nil {
-		t.Fatal(err)
-	}
-	pa, pb := net.Params(), net2.Params()
+	return st2
+}
+
+// sameParams fails unless two networks hold bit-identical weights.
+func sameParams(t *testing.T, what string, a, b *nn.Network) {
+	t.Helper()
+	pa, pb := a.Params(), b.Params()
 	for i := range pa {
 		if !pa[i].W.AllClose(pb[i].W, 0) {
-			t.Fatal("restored weights differ")
+			t.Fatalf("%s: weights differ at %s", what, pa[i].Name)
 		}
 	}
+}
+
+func TestRoundTripWeights(t *testing.T) {
+	net := models.DeepMLP(4, 8, 2, 3, 1)
+	step := 42
+	st, err := Capture(SGDM(net, nil, &step), map[string]string{"method": "pb"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2 := roundTrip(t, st)
+	if st2.Replicas[0].Step != 42 || st2.Meta["method"] != "pb" {
+		t.Fatalf("metadata lost: %+v", st2)
+	}
+	net2 := models.DeepMLP(4, 8, 2, 3, 99)
+	if err := RestoreForward(st2, net2); err != nil {
+		t.Fatal(err)
+	}
+	sameParams(t, "forward restore", net, net2)
 }
 
 func TestRoundTripVelocities(t *testing.T) {
@@ -54,14 +66,19 @@ func TestRoundTripVelocities(t *testing.T) {
 		p.G.Fill(0.5)
 	}
 	opt.Step(net.Params())
-	st, err := Capture(net, opt, 1, nil)
+	step := 1
+	st, err := Capture(SGDM(net, opt, &step), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	net2 := models.DeepMLP(4, 8, 2, 3, 2)
 	opt2 := optim.NewMomentum(0.1, 0.9)
-	if err := Restore(st, net2, opt2); err != nil {
+	step2 := 0
+	if err := Restore(st, SGDM(net2, opt2, &step2)); err != nil {
 		t.Fatal(err)
+	}
+	if step2 != 1 {
+		t.Fatalf("restored step %d, want 1", step2)
 	}
 	p1, p2 := net.Params(), net2.Params()
 	for i := range p1 {
@@ -82,40 +99,40 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	net2 := models.DeepMLP(4, 8, 2, 3, 30)
-	st, err := Load(path, net2, nil)
+	st, err := LoadForward(path, net2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Step != 7 {
-		t.Fatalf("step %d", st.Step)
+	if st.Replicas[0].Step != 7 {
+		t.Fatalf("step %d", st.Replicas[0].Step)
 	}
-	pa, pb := net.Params(), net2.Params()
-	for i := range pa {
-		if !pa[i].W.AllClose(pb[i].W, 0) {
-			t.Fatal("file round trip lost weights")
-		}
-	}
+	sameParams(t, "file round trip", net, net2)
 }
 
 func TestRestoreRejectsMismatchedArch(t *testing.T) {
 	net := models.DeepMLP(4, 8, 2, 3, 4)
-	st, _ := Capture(net, nil, 0, nil)
+	step := 0
+	st, _ := Capture(SGDM(net, nil, &step), nil)
 	other := models.DeepMLP(4, 16, 2, 3, 4) // wider: size mismatch
-	if err := Restore(st, other, nil); err == nil {
+	if err := Restore(st, SGDM(other, nil, &step)); err == nil {
 		t.Fatal("expected size-mismatch error")
 	}
 	deeper := models.DeepMLP(4, 8, 3, 3, 4) // extra layer: missing params
-	if err := Restore(st, deeper, nil); err == nil {
+	if err := Restore(st, SGDM(deeper, nil, &step)); err == nil {
 		t.Fatal("expected missing-parameter error")
 	}
 }
 
 func TestRestoreRejectsWrongVersion(t *testing.T) {
 	net := models.DeepMLP(4, 8, 1, 2, 5)
-	st, _ := Capture(net, nil, 0, nil)
+	step := 0
+	st, _ := Capture(SGDM(net, nil, &step), nil)
 	st.Version = 99
-	if err := Restore(st, net, nil); err == nil {
+	if err := Restore(st, SGDM(net, nil, &step)); err == nil {
 		t.Fatal("expected version error")
+	}
+	if err := RestoreForward(st, net); err == nil {
+		t.Fatal("expected version error from the forward restore")
 	}
 }
 
@@ -136,13 +153,13 @@ func TestResumeProducesSameTrajectory(t *testing.T) {
 	cfg := core.Config{LR: 0.05, Momentum: 0.9}
 	sgdB := core.NewSGDTrainer(netB, cfg, 8)
 	sgdB.TrainEpoch(train, nil, nil, nil)
-	st, err := Capture(netB, sgdB.Optimizer(), 0, nil)
+	st, err := Capture(SGDM(netB, sgdB.Optimizer(), sgdB.StepCounter()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	netC := models.DeepMLP(6, 8, 2, 3, seed+1) // different init, will be overwritten
 	sgdC := core.NewSGDTrainer(netC, cfg, 8)
-	if err := Restore(st, netC, sgdC.Optimizer()); err != nil {
+	if err := Restore(st, SGDM(netC, sgdC.Optimizer(), sgdC.StepCounter())); err != nil {
 		t.Fatal(err)
 	}
 	sgdC.TrainEpoch(train, nil, nil, nil)
@@ -184,20 +201,13 @@ func TestPipelineResumeMatchesUninterrupted(t *testing.T) {
 	// not the comparison point — continuing the same trainer is.)
 	trB, netB := mk(seed)
 	feed(trB, 0, train.Len()/2)
-	st, err := CapturePipeline(netB, trB, map[string]string{"mit": "LWPwDSCD"})
+	st, err := Capture(Pipeline{Net: netB, Engine: trB}, map[string]string{"mit": "LWPwDSCD"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st2 := roundTrip(t, st)
 	trC, netC := mk(seed + 100) // different init, overwritten by restore
-	if err := RestorePipeline(st2, netC, trC); err != nil {
+	if err := Restore(st2, Pipeline{Net: netC, Engine: trC}); err != nil {
 		t.Fatal(err)
 	}
 	if trC.UpdateStep() != trB.UpdateStep() {
@@ -210,44 +220,27 @@ func TestPipelineResumeMatchesUninterrupted(t *testing.T) {
 	}
 	feed(trB, train.Len()/2, train.Len())
 	feed(trC, train.Len()/2, train.Len())
-
-	pb2, pc := netB.Params(), netC.Params()
-	for i := range pb2 {
-		if !pb2[i].W.AllClose(pc[i].W, 0) {
-			t.Fatalf("resumed PB trajectory deviates at %s", pb2[i].Name)
-		}
-	}
+	sameParams(t, "resumed PB trajectory", netB, netC)
 }
 
 // TestCaptureDoesNotMutateOptimizer locks in that capturing a snapshot never
-// allocates velocity buffers as a side effect (the old Capture called
-// opt.Vel, which allocates and therefore mutated the optimizer).
+// allocates velocity buffers as a side effect (opt.Vel allocates and would
+// therefore mutate the optimizer).
 func TestCaptureDoesNotMutateOptimizer(t *testing.T) {
 	net := models.DeepMLP(4, 8, 2, 3, 9)
 	opt := optim.NewMomentum(0.1, 0.9)
-	st, err := Capture(net, opt, 0, nil)
+	step := 0
+	st, err := Capture(SGDM(net, opt, &step), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Velocities) != 0 {
-		t.Fatalf("untrained optimizer captured %d velocity buffers", len(st.Velocities))
+	if n := len(st.Replicas[0].Stages[0].Velocities); n != 0 {
+		t.Fatalf("untrained optimizer captured %d velocity buffers", n)
 	}
 	for _, p := range net.Params() {
 		if opt.VelIfTracked(p) != nil {
 			t.Fatalf("Capture allocated a velocity buffer for %s", p.Name)
 		}
-	}
-}
-
-// TestVersion1StillRestores guards backwards compatibility with pre-stage
-// snapshots.
-func TestVersion1StillRestores(t *testing.T) {
-	net := models.DeepMLP(4, 8, 1, 2, 10)
-	st, _ := Capture(net, nil, 3, nil)
-	st.Version = 1
-	net2 := models.DeepMLP(4, 8, 1, 2, 11)
-	if err := Restore(st, net2, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -279,37 +272,32 @@ func TestPipelineCheckpointAcrossEngines(t *testing.T) {
 	trB := core.NewParallelPBTrainer(netB, cfg)
 	defer trB.Close()
 	feed(trB, 0, train.Len()/2)
-	st, err := CapturePipeline(netB, trB, nil)
+	st, err := Capture(Pipeline{Net: netB, Engine: trB}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	netC := models.DeepMLP(6, 8, 3, 3, seed+9)
 	trC := core.NewParallelPBTrainer(netC, cfg)
 	defer trC.Close()
-	if err := RestorePipeline(st, netC, trC); err != nil {
+	if err := Restore(st, Pipeline{Net: netC, Engine: trC}); err != nil {
 		t.Fatal(err)
 	}
 	feed(trB, train.Len()/2, train.Len())
 	feed(trC, train.Len()/2, train.Len())
-	pb2, pc := netB.Params(), netC.Params()
-	for i := range pb2 {
-		if !pb2[i].W.AllClose(pc[i].W, 0) {
-			t.Fatalf("lockstep resume deviates at %s", pb2[i].Name)
-		}
-	}
+	sameParams(t, "lockstep resume", netB, netC)
 
 	// Async free engine → sequential trainer (cross-engine restore).
 	netA := models.DeepMLP(6, 8, 3, 3, seed)
 	trA := core.NewAsyncPBTrainer(netA, cfg)
 	defer trA.Close()
 	feed(trA, 0, train.Len()/2)
-	stA, err := CapturePipeline(netA, trA, nil)
+	stA, err := Capture(Pipeline{Net: netA, Engine: trA}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	netS := models.DeepMLP(6, 8, 3, 3, seed+17)
 	trS := core.NewPBTrainer(netS, cfg)
-	if err := RestorePipeline(stA, netS, trS); err != nil {
+	if err := Restore(stA, Pipeline{Net: netS, Engine: trS}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < trS.NumStages(); i++ {
@@ -317,54 +305,8 @@ func TestPipelineCheckpointAcrossEngines(t *testing.T) {
 			t.Fatalf("stage %d updates %d, want %d", i, trS.StageUpdates(i), trA.StageUpdates(i))
 		}
 	}
-	pa, ps := netA.Params(), netS.Params()
-	for i := range pa {
-		if !pa[i].W.AllClose(ps[i].W, 0) {
-			t.Fatalf("async capture/restore lost weights at %s", pa[i].Name)
-		}
-	}
+	sameParams(t, "async capture/restore", netA, netS)
 	feed(trS, train.Len()/2, train.Len()) // resumed trainer keeps training
-}
-
-// TestRestorePipelineIsAtomic: a snapshot rejected by validation must leave
-// the trainer completely untouched (no half-restored weights).
-func TestRestorePipelineIsAtomic(t *testing.T) {
-	seed := int64(14)
-	net := models.DeepMLP(6, 8, 2, 3, seed)
-	cfg := core.ScaledConfig(0.1, 0.9, 16, 1)
-	tr := core.NewPBTrainer(net, cfg)
-	train, _ := data.GaussianBlobs(6, 3, 16, 0, 1, 0.5, seed)
-	for i := 0; i < train.Len(); i++ {
-		x, y := train.Sample(i)
-		tr.Submit(context.Background(), x, y)
-	}
-	tr.Drain(context.Background())
-	st, err := CapturePipeline(net, tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt a velocity buffer of the LAST stage so validation fails after
-	// the weights and earlier stages would already have been written under a
-	// mutate-as-you-validate implementation.
-	last := len(st.Stages) - 1
-	for name, v := range st.Stages[last].Velocities {
-		st.Stages[last].Velocities[name] = v[:len(v)-1]
-		break
-	}
-	net2 := models.DeepMLP(6, 8, 2, 3, seed+5)
-	tr2 := core.NewPBTrainer(net2, cfg)
-	before := net2.SnapshotWeights()
-	if err := RestorePipeline(st, net2, tr2); err == nil {
-		t.Fatal("expected corrupted snapshot to be rejected")
-	}
-	after := net2.Params()
-	for i := range after {
-		for j := range after[i].W.Data {
-			if after[i].W.Data[j] != before[i][j] {
-				t.Fatalf("rejected restore mutated %s", after[i].Name)
-			}
-		}
-	}
 }
 
 // clusterNets builds r weight-identical replica networks.
@@ -380,7 +322,7 @@ func clusterNets(r int, seed int64) []*nn.Network {
 }
 
 // feedCluster streams samples [lo, hi) through a cluster engine and drains.
-func feedCluster(t *testing.T, cl *core.Cluster, ds *data.Dataset, lo, hi int) {
+func feedCluster(t testing.TB, cl *core.Cluster, ds *data.Dataset, lo, hi int) {
 	t.Helper()
 	shape := append([]int{1}, ds.Shape...)
 	for i := lo; i < hi; i++ {
@@ -395,11 +337,11 @@ func feedCluster(t *testing.T, cl *core.Cluster, ds *data.Dataset, lo, hi int) {
 	}
 }
 
-// TestClusterResumeMatchesUninterrupted is the v3 gold standard: a cluster
-// trained one epoch, captured, restored into a fresh cluster and trained a
-// second epoch must match — bit for bit — the same cluster kept in memory
-// across both epochs: per-replica weights and velocities, the sync clock,
-// and the shard cursor all resume. Both sync policies with state are
+// TestClusterResumeMatchesUninterrupted is the replicated gold standard: a
+// cluster trained one epoch, captured, restored into a fresh cluster and
+// trained a second epoch must match — bit for bit — the same cluster kept in
+// memory across both epochs: per-replica weights and velocities, the sync
+// clock, and the shard cursor all resume. Both sync policies with state are
 // exercised (the gradient-reducing sync-grad and the averaging avg-every-k).
 func TestClusterResumeMatchesUninterrupted(t *testing.T) {
 	seed := int64(21)
@@ -432,25 +374,18 @@ func TestClusterResumeMatchesUninterrupted(t *testing.T) {
 			defer clA.Close()
 			feedCluster(t, clA, train, 0, train.Len())
 			subAt, syncsAt, lastAt := clA.ClusterCursor()
-			st, err := CaptureCluster(clA, map[string]string{"engine": tc.engine})
+			st, err := Capture(clA, map[string]string{"engine": tc.engine})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := Write(&buf, st); err != nil {
-				t.Fatal(err)
-			}
-			st2, err := Read(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
+			st2 := roundTrip(t, st)
 			feedCluster(t, clA, train, 0, train.Len())
 
 			// Resumed arm: fresh cluster (different init, overwritten), restore,
 			// second epoch.
 			clB, netsB := mk(seed + 500)
 			defer clB.Close()
-			if err := RestoreCluster(st2, clB); err != nil {
+			if err := Restore(st2, clB); err != nil {
 				t.Fatal(err)
 			}
 			subB, syncsB, lastB := clB.ClusterCursor()
@@ -461,12 +396,7 @@ func TestClusterResumeMatchesUninterrupted(t *testing.T) {
 			feedCluster(t, clB, train, 0, train.Len())
 
 			for r := 0; r < 2; r++ {
-				pa, pb := netsA[r].Params(), netsB[r].Params()
-				for i := range pa {
-					if !pa[i].W.AllClose(pb[i].W, 0) {
-						t.Fatalf("replica %d resumed trajectory deviates at %s", r, pa[i].Name)
-					}
-				}
+				sameParams(t, "replica resumed trajectory", netsA[r], netsB[r])
 			}
 			sA, sB := clA.Stats(), clB.Stats()
 			if sA.Syncs != sB.Syncs {
@@ -476,8 +406,9 @@ func TestClusterResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// TestClusterSnapshotRejects pins the v3 validation: wrong restore surface,
-// replica-count and policy mismatches all fail loudly without mutating.
+// TestClusterSnapshotRejects pins the replica and sync-header validation:
+// wrong restore surface, replica-count and policy mismatches all fail loudly
+// without mutating.
 func TestClusterSnapshotRejects(t *testing.T) {
 	cfg := core.ScaledConfig(0.1, 0.9, 16, 1)
 	mk := func(r int, policy string) *core.Cluster {
@@ -490,40 +421,40 @@ func TestClusterSnapshotRejects(t *testing.T) {
 	}
 	cl := mk(2, "avg-every-4")
 	defer cl.Close()
-	st, err := CaptureCluster(cl, nil)
+	st, err := Capture(cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A cluster snapshot cannot restore into a bare pipeline...
 	net := models.DeepMLP(6, 8, 3, 3, 31)
-	tr := core.NewPBTrainer(net, cfg)
-	if err := RestorePipeline(st, net, tr); err == nil {
+	bare := Pipeline{Net: net, Engine: core.NewPBTrainer(net, cfg)}
+	if err := Restore(st, bare); err == nil {
 		t.Fatal("cluster snapshot restored into a single pipeline")
 	}
 	// ...nor a pipeline snapshot into a cluster.
-	pst, err := CapturePipeline(net, tr, nil)
+	pst, err := Capture(bare, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RestoreCluster(pst, cl); err == nil {
+	if err := Restore(pst, cl); err == nil {
 		t.Fatal("pipeline snapshot restored into a cluster")
 	}
 	// Replica-count mismatch.
 	cl3 := mk(3, "avg-every-4")
 	defer cl3.Close()
-	if err := RestoreCluster(st, cl3); err == nil {
+	if err := Restore(st, cl3); err == nil {
 		t.Fatal("2-replica snapshot restored into a 3-replica cluster")
 	}
 	// Policy mismatch.
 	clPol := mk(2, "sync-grad")
 	defer clPol.Close()
-	if err := RestoreCluster(st, clPol); err == nil {
+	if err := Restore(st, clPol); err == nil {
 		t.Fatal("avg-every-4 snapshot restored under sync-grad")
 	}
 	// Interval mismatch within the same family.
 	clInt := mk(2, "avg-every-9")
 	defer clInt.Close()
-	if err := RestoreCluster(st, clInt); err == nil {
+	if err := Restore(st, clInt); err == nil {
 		t.Fatal("avg-every-4 snapshot restored under avg-every-9")
 	}
 }
@@ -539,71 +470,24 @@ func TestClusterSaveLoadFile(t *testing.T) {
 	}
 	defer clA.Close()
 	feedCluster(t, clA, train, 0, train.Len())
-	path := filepath.Join(t.TempDir(), "cluster.ckpt")
-	if err := SaveCluster(path, clA, map[string]string{"scope": "test"}); err != nil {
+	st, err := Capture(clA, map[string]string{"scope": "test"})
+	if err != nil {
 		t.Fatal(err)
 	}
+	st = roundTrip(t, st)
 	netsB := clusterNets(2, 99)
 	clB, err := core.NewCluster(netsB, cfg, core.ClusterConfig{Replicas: 2, Engine: "seq", Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer clB.Close()
-	st, err := LoadCluster(path, clB)
-	if err != nil {
+	if err := Restore(st, clB); err != nil {
 		t.Fatal(err)
 	}
-	if st.Meta["scope"] != "test" || st.Version != Version || st.Cluster == nil {
-		t.Fatalf("loaded snapshot malformed: version %d meta %v", st.Version, st.Meta)
+	if st.Meta["scope"] != "test" || st.Version != Version || len(st.Replicas) != 2 {
+		t.Fatalf("loaded snapshot malformed: version %d, %d replicas, meta %v", st.Version, len(st.Replicas), st.Meta)
 	}
 	for r := 0; r < 2; r++ {
-		pa, pb := clA.ReplicaNet(r).Params(), netsB[r].Params()
-		for i := range pa {
-			if !pa[i].W.AllClose(pb[i].W, 0) {
-				t.Fatalf("replica %d weights differ after disk round-trip", r)
-			}
-		}
-	}
-}
-
-// TestVersion2StillRestores guards compatibility with pre-cluster pipeline
-// snapshots: a version-2 State (no Cluster field) restores exactly as
-// before.
-func TestVersion2StillRestores(t *testing.T) {
-	seed := int64(51)
-	net := models.DeepMLP(6, 8, 3, 3, seed)
-	cfg := core.ScaledConfig(0.1, 0.9, 16, 1)
-	tr := core.NewPBTrainer(net, cfg)
-	train, _ := data.GaussianBlobs(6, 3, 16, 0, 1, 0.5, seed)
-	for i := 0; i < train.Len(); i++ {
-		x, y := train.Sample(i)
-		tr.Submit(context.Background(), x, y)
-	}
-	tr.Drain(context.Background())
-	st, err := CapturePipeline(net, tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Version = 2 // what a pre-cluster build wrote
-	var buf bytes.Buffer
-	if err := Write(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net2 := models.DeepMLP(6, 8, 3, 3, seed+1)
-	tr2 := core.NewPBTrainer(net2, cfg)
-	if err := RestorePipeline(st2, net2, tr2); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range net.Params() {
-		if !p.W.AllClose(net2.Params()[i].W, 0) {
-			t.Fatalf("v2 restore deviates at %s", p.Name)
-		}
-	}
-	if tr2.UpdateStep() != tr.UpdateStep() {
-		t.Fatalf("v2 restore schedule position %d, want %d", tr2.UpdateStep(), tr.UpdateStep())
+		sameParams(t, "disk round-trip", clA.ReplicaNet(r), netsB[r])
 	}
 }

@@ -29,7 +29,7 @@ func TestForwardRestoreNarrowsToF32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Step != 5 || st.Meta["engine"] != "seq" {
+	if st.Replicas[0].Step != 5 || st.Meta["engine"] != "seq" {
 		t.Fatalf("metadata lost: %+v", st)
 	}
 
@@ -64,15 +64,16 @@ func TestForwardRestoreNarrowsToF32(t *testing.T) {
 func TestF32SnapshotWidensToCanonicalF64(t *testing.T) {
 	net := models.DeepMLP(6, 10, 3, 4, 78)
 	net.ConvertTo(tensor.F32)
-	st, err := Capture(net, nil, 0, nil)
+	step := 0
+	st, err := Capture(SGDM(net, nil, &step), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range net.Params() {
-		got, ok := st.Weights[p.Name]
-		if !ok {
-			t.Fatalf("%s: snapshot missing parameter", p.Name)
+	for i, p := range net.Params() {
+		if name := st.Replicas[0].Weights[i].Name; name != p.Name {
+			t.Fatalf("snapshot buffer %d is %s, want %s", i, name, p.Name)
 		}
+		got := st.Replicas[0].Weights[i].Values
 		w := p.W.Data32()
 		if len(got) != len(w) {
 			t.Fatalf("%s: snapshot length %d, want %d", p.Name, len(got), len(w))

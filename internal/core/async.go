@@ -176,7 +176,7 @@ func (t *AsyncPBTrainer) ObservedDelays() []int {
 // checkpoint.PipelineTrainer. Like ObservedDelays, the stage accessors are
 // only valid with the pipeline quiesced (after Drain or Close). Resume is
 // exact: the LR schedule is driven entirely by the per-stage update counters
-// that RestorePipeline restores.
+// that checkpoint.Restore restores.
 func (t *AsyncPBTrainer) StageOptimizer(i int) *optim.Momentum { return t.stages[i].opt }
 
 // StageParams exposes stage i's parameters (for checkpointing).

@@ -693,16 +693,13 @@ func (c *Cluster) drainRounds(ctx context.Context, out *[]*Result) error {
 
 // ---- checkpointing (checkpoint.ClusterTrainer) ----
 
-// ReplicaCount returns R for checkpointing.
-func (c *Cluster) ReplicaCount() int { return len(c.engines) }
-
 // ReplicaEngine returns replica i's engine; every built-in engine implements
 // checkpoint.PipelineTrainer. Declared as any to keep core free of the
 // checkpoint package (interfaces match structurally at the caller).
 func (c *Cluster) ReplicaEngine(i int) any { return c.engines[i] }
 
-// PolicyName records the sync policy in snapshots; RestoreCluster refuses a
-// snapshot taken under a different policy.
+// PolicyName records the sync policy in snapshots; checkpoint.Restore
+// refuses a snapshot taken under a different policy.
 func (c *Cluster) PolicyName() string { return c.policy.Name() }
 
 // PolicyInterval records the policy's averaging interval in snapshots.

@@ -28,8 +28,8 @@ func feedSlice(e Engine, ds *data.Dataset, idxs []int) []*Result {
 // TestElasticRemoveContinuesAsFreshR1 is the elastic-downsize equivalence
 // proof: an R=2 sync-grad cluster drained at a sync boundary and shrunk with
 // RemoveReplica(1) must finish the epoch bit-identically to a fresh R=1
-// cluster seeded from replica 0's standalone pipeline snapshot
-// (checkpoint.ReplicaPipeline) at the same boundary. The drain broadcast
+// cluster seeded from replica 0 of a snapshot taken at the same boundary
+// (the snapshot's Replicas sliced to [:1]). The drain broadcast
 // aligned both replicas, so the survivor carries the cluster's full training
 // state; the global cursor keeps counting, so both paths feed the identical
 // tail sequence to one pipeline.
@@ -56,8 +56,8 @@ func TestElasticRemoveContinuesAsFreshR1(t *testing.T) {
 	}
 	tailA := append(feedSlice(clA, train, perm[half:]), drain(clA)...)
 
-	// Path B: identical run to the boundary, then capture replica 0 as a
-	// standalone pipeline snapshot and seed a brand-new R=1 cluster from it.
+	// Path B: identical run to the boundary, then capture the cluster, keep
+	// replica 0 and seed a brand-new R=1 cluster from it.
 	netsB := clusterNets(2, 31)
 	clB, err := NewCluster(netsB, cfg, ClusterConfig{Engine: "seq", Policy: syncpol.SyncGrad{}})
 	if err != nil {
@@ -65,14 +65,11 @@ func TestElasticRemoveContinuesAsFreshR1(t *testing.T) {
 	}
 	feedSlice(clB, train, perm[:half])
 	drain(clB)
-	st, err := checkpoint.CaptureCluster(clB, nil)
+	st, err := checkpoint.Capture(clB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := checkpoint.ReplicaPipeline(st, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st.Replicas = st.Replicas[:1]
 	clB.Close()
 
 	netsB1 := clusterNets(1, 31)
@@ -81,19 +78,19 @@ func TestElasticRemoveContinuesAsFreshR1(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clB1.Close()
-	if err := checkpoint.RestorePipeline(ps, netsB1[0], clB1.ReplicaEngine(0).(checkpoint.PipelineTrainer)); err != nil {
+	if err := checkpoint.Restore(st, clB1); err != nil {
 		t.Fatal(err)
 	}
 	tailB := append(feedSlice(clB1, train, perm[half:]), drain(clB1)...)
 
 	weightsEqual(t, "survivor vs fresh R=1", netsA[0], netsB1[0])
-	// Result IDs renumber across the two paths (fresh cluster restarts its
-	// cursor); the loss stream must not.
+	// The restored cursor carries the result numbering across, so the two
+	// tails match result for result.
 	if len(tailA) != len(tailB) {
 		t.Fatalf("tail results: %d vs %d", len(tailA), len(tailB))
 	}
 	for i := range tailA {
-		if tailA[i].Loss != tailB[i].Loss || tailA[i].Correct != tailB[i].Correct {
+		if *tailA[i] != *tailB[i] {
 			t.Fatalf("tail result %d differs: %+v vs %+v", i, tailA[i], tailB[i])
 		}
 	}

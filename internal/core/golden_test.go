@@ -196,13 +196,13 @@ func runTrajectory(t *testing.T, eng Engine, net *nn.Network, ds *data.Dataset) 
 	n := ds.Len()
 	rs := feedRange(eng, ds, 0, n/3)
 	rs = append(rs, feedRange(eng, ds, n/3, 2*n/3)...)
-	tr := eng.(checkpoint.PipelineTrainer)
-	snap, err := checkpoint.CapturePipeline(net, tr, nil)
+	view := checkpoint.Pipeline{Net: net, Engine: eng}
+	snap, err := checkpoint.Capture(view, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rs = append(rs, feedRange(eng, ds, 0, 4)...)
-	if err := checkpoint.RestorePipeline(snap, net, tr); err != nil {
+	if err := checkpoint.Restore(snap, view); err != nil {
 		t.Fatal(err)
 	}
 	return append(rs, feedRange(eng, ds, 2*n/3, n)...)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -132,58 +131,51 @@ func TestInferReplicasShareWeights(t *testing.T) {
 	}
 }
 
-// checkpointState builds a snapshot of src's weights shaped like the given
-// format version: v1 (weights + single optimizer), v2 (per-stage pipeline
-// state), v3 (cluster state mirroring replica 0).
-func checkpointState(t *testing.T, src *nn.Network, version int) *checkpoint.State {
+// checkpointState captures a snapshot whose replica 0 holds src's weights,
+// in one of the three shapes the one layout covers: the SGDM view, a bare
+// pipeline engine, or an R=2 cluster whose replica 1 is another network.
+func checkpointState(t *testing.T, src, other *nn.Network, kind string) *checkpoint.State {
 	t.Helper()
-	st, err := checkpoint.Capture(src, nil, 7, map[string]string{"origin": "infer_test"})
+	cfg := ScaledConfig(0.1, 0.9, 16, 1)
+	var ct checkpoint.ClusterTrainer
+	switch kind {
+	case "sgdm":
+		step := 7
+		ct = checkpoint.SGDM(src, nil, &step)
+	case "pipeline":
+		ct = checkpoint.Pipeline{Net: src, Engine: NewPBTrainer(src, cfg)}
+	case "cluster":
+		cl, err := NewCluster([]*nn.Network{src, other}, cfg, ClusterConfig{Engine: "seq"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cl.Close)
+		ct = cl
+	default:
+		t.Fatalf("unknown snapshot kind %q", kind)
+	}
+	st, err := checkpoint.Capture(ct, map[string]string{"origin": "infer_test"})
 	if err != nil {
 		t.Fatal(err)
-	}
-	st.Version = version
-	switch version {
-	case 1:
-	case 2:
-		st.Stages = make([]checkpoint.StageState, src.NumStages())
-		for i := range st.Stages {
-			st.Stages[i] = checkpoint.StageState{
-				Velocities:  map[string][]float64{},
-				PrevWeights: map[string][]float64{},
-			}
-		}
-	case 3:
-		st.Cluster = &checkpoint.ClusterState{
-			Policy:   "avg",
-			Interval: 1,
-			Replicas: []checkpoint.ReplicaState{{Weights: st.Weights, Step: st.Step}},
-		}
-	default:
-		t.Fatalf("unknown checkpoint version %d", version)
 	}
 	return st
 }
 
-// TestInferCheckpointVersions hot-loads v1, v2 and v3 snapshots through the
-// forward-only restore path and checks the served logits are bit-identical to
-// a network restored from the same snapshot.
+// TestInferCheckpointVersions hot-loads SGDM, pipeline and cluster snapshots
+// through the forward-only restore path and checks the served logits are
+// bit-identical to src, the network whose weights replica 0 holds.
 func TestInferCheckpointVersions(t *testing.T) {
 	const seed = 47
 	for _, m := range inferModels() {
-		for version := 1; version <= 3; version++ {
+		for i, kind := range []string{"sgdm", "pipeline", "cluster"} {
 			// The snapshot carries weights from a different seed than the
 			// engine's nets, so a failed restore cannot pass by accident.
-			src := m.build(seed + int64(version)*100)
-			st := checkpointState(t, src, version)
+			src := m.build(seed + int64(i+1)*100)
+			x := randBatch(2, m.shape, seed+2)
+			want, _ := src.Forward(x.Clone())
+			st := checkpointState(t, src, m.build(seed+int64(i+1)*100+1), kind)
 			path := filepath.Join(t.TempDir(), "ckpt.gob")
-			f, err := os.Create(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := checkpoint.Write(f, st); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
+			if err := checkpoint.Write(path, st); err != nil {
 				t.Fatal(err)
 			}
 
@@ -193,23 +185,16 @@ func TestInferCheckpointVersions(t *testing.T) {
 			}
 			loader := m.build(seed)
 			if _, err := checkpoint.LoadForward(path, loader); err != nil {
-				t.Fatalf("%s v%d: LoadForward: %v", m.name, version, err)
+				t.Fatalf("%s %s: LoadForward: %v", m.name, kind, err)
 			}
 			old, err := eng.Swap(CaptureWeights(loader))
 			if err != nil {
-				t.Fatalf("%s v%d: Swap: %v", m.name, version, err)
+				t.Fatalf("%s %s: Swap: %v", m.name, kind, err)
 			}
 			if n := old.InUse(); n != 0 {
-				t.Fatalf("%s v%d: displaced set has %d references with nothing in flight", m.name, version, n)
+				t.Fatalf("%s %s: displaced set has %d references with nothing in flight", m.name, kind, n)
 			}
-
-			oracle := m.build(seed)
-			if err := checkpoint.RestoreForward(st, oracle); err != nil {
-				t.Fatal(err)
-			}
-			x := randBatch(2, m.shape, seed+2)
-			want, _ := oracle.Forward(x.Clone())
-			sameBits(t, mustInfer(t, eng, x.Clone()), want, m.name+" ckpt")
+			sameBits(t, mustInfer(t, eng, x.Clone()), want, m.name+" "+kind+" ckpt")
 			eng.Close()
 		}
 	}

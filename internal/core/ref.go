@@ -172,12 +172,6 @@ func UtilizationBound(n, s int) float64 {
 // Optimizer exposes the trainer's optimizer (for checkpointing).
 func (t *SGDTrainer) Optimizer() *optim.Momentum { return t.opt }
 
-// Step returns the trainer's update-step counter — the LR-schedule
-// position — for checkpointing.
-func (t *SGDTrainer) Step() int { return t.step }
-
-// SetStep restores the schedule position from a checkpoint.
-func (t *SGDTrainer) SetStep(step int) { t.step = step }
-
-// Optimizer exposes the trainer's optimizer (for checkpointing).
-func (t *FillDrainTrainer) Optimizer() *optim.Momentum { return t.opt }
+// StepCounter exposes the trainer's update-step counter — the LR-schedule
+// position — so a checkpoint view (checkpoint.SGDM) can read and restore it.
+func (t *SGDTrainer) StepCounter() *int { return &t.step }

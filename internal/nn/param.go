@@ -34,8 +34,8 @@ func (p *Param) Snapshot() []float64 {
 
 // SetData copies float64 data into the weight tensor, converting to the
 // parameter's dtype. Lengths must match. For f32 parameters each value is
-// the direct float32 cast — this is where checkpoint.LoadForward's f64→f32
-// conversion happens.
+// the direct float32 cast — this is where every checkpoint restore narrows
+// the canonical f64 snapshot to an f32 network.
 func (p *Param) SetData(data []float64) {
 	if len(data) != p.W.Size() {
 		panic("nn: SetData length mismatch for " + p.Name)

@@ -18,11 +18,9 @@ import "fmt"
 // foreign tensors (inputs a caller might still reference, views, dataset
 // storage) and double-Puts, so a stray Put can never corrupt live data.
 type Arena struct {
-	// free and free32 are the per-dtype free lists, keyed by element count.
-	// Separate maps (rather than a composite key) keep the F64 hot path's
-	// map operations byte-identical to the pre-dtype arena.
-	free   map[int][]*Tensor
-	free32 map[int][]*Tensor
+	// free holds one free list per dtype, keyed by element count, so a
+	// pooled F32 tensor is never handed to an F64 caller or vice versa.
+	free [F32 + 1]map[int][]*Tensor
 	// gets and news count Get calls and the subset that had to allocate,
 	// for tests and diagnostics.
 	gets, news int
@@ -30,16 +28,20 @@ type Arena struct {
 
 // NewArena returns an empty arena.
 func NewArena() *Arena {
-	return &Arena{free: make(map[int][]*Tensor), free32: make(map[int][]*Tensor)}
+	return &Arena{free: [F32 + 1]map[int][]*Tensor{make(map[int][]*Tensor), make(map[int][]*Tensor)}}
 }
 
-// Get returns a float64 tensor with the given shape: a recycled buffer when
-// one of matching size is free, else a fresh allocation. The contents are
-// unspecified — callers must fully overwrite or Zero the tensor. A nil
-// arena always allocates (equivalent to New, which zero-fills).
-func (a *Arena) Get(shape ...int) *Tensor {
+// Get is GetDT(F64, shape...).
+func (a *Arena) Get(shape ...int) *Tensor { return a.GetDT(F64, shape...) }
+
+// GetDT returns a tensor of the given dtype and shape: a recycled buffer
+// when one of matching dtype and size is free, else a fresh allocation. The
+// contents are unspecified — callers must fully overwrite or Zero the
+// tensor. A nil arena always allocates (equivalent to NewDT, which
+// zero-fills).
+func (a *Arena) GetDT(dt DType, shape ...int) *Tensor {
 	if a == nil {
-		return New(shape...)
+		return NewDT(dt, shape...)
 	}
 	a.gets++
 	n := 1
@@ -49,62 +51,26 @@ func (a *Arena) Get(shape ...int) *Tensor {
 		}
 		n *= d
 	}
-	if list := a.free[n]; len(list) > 0 {
+	free := a.free[dt]
+	if list := free[n]; len(list) > 0 {
 		t := list[len(list)-1]
 		list[len(list)-1] = nil
-		a.free[n] = list[:len(list)-1]
+		free[n] = list[:len(list)-1]
 		t.setShape(shape)
 		t.poolable = true
 		return t
 	}
 	a.news++
-	t := New(shape...)
+	t := NewDT(dt, shape...)
 	t.poolable = true
 	return t
 }
 
-// GetDT is Get with an explicit dtype: recycled buffers come only from the
-// matching dtype's free list, so a pooled F32 tensor is never handed to an
-// F64 caller or vice versa. GetDT(F64, ...) is exactly Get.
-func (a *Arena) GetDT(dt DType, shape ...int) *Tensor {
-	if dt != F32 {
-		return a.Get(shape...)
-	}
-	if a == nil {
-		return New32(shape...)
-	}
-	a.gets++
-	n := 1
-	for _, d := range shape {
-		if d <= 0 {
-			panic("tensor: non-positive dimension in Arena.GetDT")
-		}
-		n *= d
-	}
-	if list := a.free32[n]; len(list) > 0 {
-		t := list[len(list)-1]
-		list[len(list)-1] = nil
-		a.free32[n] = list[:len(list)-1]
-		t.setShape(shape)
-		t.poolable = true
-		return t
-	}
-	a.news++
-	t := New32(shape...)
-	t.poolable = true
-	return t
-}
+// GetZeroed is GetZeroedDT(F64, shape...).
+func (a *Arena) GetZeroed(shape ...int) *Tensor { return a.GetZeroedDT(F64, shape...) }
 
-// GetZeroed is Get followed by Zero — for buffers that are accumulated into.
-func (a *Arena) GetZeroed(shape ...int) *Tensor {
-	t := a.Get(shape...)
-	if a != nil {
-		t.Zero()
-	}
-	return t
-}
-
-// GetZeroedDT is GetDT followed by Zero.
+// GetZeroedDT is GetDT followed by Zero — for buffers that are accumulated
+// into.
 func (a *Arena) GetZeroedDT(dt DType, shape ...int) *Tensor {
 	t := a.GetDT(dt, shape...)
 	if a != nil {
@@ -125,11 +91,8 @@ func (a *Arena) Put(ts ...*Tensor) {
 			continue
 		}
 		t.poolable = false
-		if t.dtype == F32 {
-			a.free32[len(t.data32)] = append(a.free32[len(t.data32)], t)
-			continue
-		}
-		a.free[len(t.Data)] = append(a.free[len(t.Data)], t)
+		free := a.free[t.dtype]
+		free[t.Size()] = append(free[t.Size()], t)
 	}
 }
 

@@ -168,9 +168,10 @@ func WithReplicas(r int, policy string) Option {
 	}
 }
 
-// WithCheckpointEvery saves a pipeline snapshot to path after every n
-// epochs (checkpoint.SavePipeline; atomic tmp+rename). The OnCheckpoint
-// hooks fire after each successful save. Resume restores such snapshots.
+// WithCheckpointEvery saves a snapshot of the training state to path after
+// every n epochs (Trainer.Checkpoint: checkpoint.Capture + checkpoint.Write,
+// an atomic and durable tmp+rename). The OnCheckpoint hooks fire after each
+// successful save. Resume restores such snapshots.
 func WithCheckpointEvery(n int, path string) Option {
 	return func(o *options) {
 		if n < 1 {

@@ -38,8 +38,9 @@ type ServerConfig struct {
 	// Seed is passed to the Builder (default 1). The built weights serve as
 	// the initial weight set until a checkpoint is loaded.
 	Seed int64
-	// Checkpoint, when non-empty, is loaded (any version v1–v3) before the
-	// server accepts requests.
+	// Checkpoint, when non-empty, is loaded before the server accepts
+	// requests: replica 0's weights of any snapshot (SGDM, pipeline or
+	// cluster).
 	Checkpoint string
 	// Obs, when non-nil, attaches the metrics bus to the inference engine:
 	// lifetime completion counters stream onto it (see train.WithObserver
@@ -135,26 +136,15 @@ func (s *Server) Infer(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, e
 	return s.eng.Infer(ctx, x)
 }
 
-// LoadCheckpoint hot-swaps the published weights to the snapshot at path
-// (any version v1–v3) without dropping in-flight requests. It returns the
+// LoadCheckpoint hot-swaps the published weights to replica 0's weights of
+// the snapshot at path (SGDM, pipeline or cluster) without dropping
+// in-flight requests. It returns the
 // displaced weight set, whose InUse count drains to zero once every request
 // admitted under it has completed.
 func (s *Server) LoadCheckpoint(path string) (*core.WeightSet, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, err := checkpoint.LoadForward(path, s.loader); err != nil {
-		return nil, err
-	}
-	return s.eng.Swap(core.CaptureWeights(s.loader))
-}
-
-// SwapState hot-swaps to an in-memory snapshot — the same publication
-// protocol as LoadCheckpoint without the file round-trip (used by tests and
-// co-located trainers).
-func (s *Server) SwapState(st *checkpoint.State) (*core.WeightSet, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := checkpoint.RestoreForward(st, s.loader); err != nil {
 		return nil, err
 	}
 	return s.eng.Swap(core.CaptureWeights(s.loader))

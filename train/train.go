@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -278,34 +277,26 @@ func (t *Trainer) ensureBuilt(trainSet *data.Dataset, epochs int) error {
 
 // applyState restores a snapshot into the built trainer.
 func (t *Trainer) applyState(st *checkpoint.State) error {
+	if (st.Meta["engine"] == "sgdm") != (t.sgd != nil) {
+		// An SGDM snapshot steps per batch with one optimizer; a pipeline
+		// snapshot steps per sample with one optimizer per stage. Even where
+		// the shapes agree (S = 1), restoring one into the other would
+		// misread the schedule position. Refuse loudly.
+		return fmt.Errorf("train: snapshot of engine %q: an SGDM snapshot resumes only an SGDM Trainer, a pipeline snapshot only a pipeline Trainer", st.Meta["engine"])
+	}
+	return checkpoint.Restore(st, t.view())
+}
+
+// view picks the checkpoint surface of the built trainer: the one-stage
+// SGDM view, the cluster itself, or a bare engine as one replica.
+func (t *Trainer) view() checkpoint.ClusterTrainer {
 	if t.sgd != nil {
-		if len(st.Stages) > 0 {
-			// A pipeline snapshot keeps its optimizer state per stage and
-			// its step counter in sample units; loading it into the
-			// batch-stepped SGDM trainer would "succeed" with zeroed
-			// momentum and a wrong schedule position. Refuse loudly.
-			return fmt.Errorf("train: snapshot holds per-stage pipeline state (engine %q); this Trainer is SGDM — resume it with a pipeline engine instead", st.Meta["engine"])
-		}
-		if err := checkpoint.Restore(st, t.net, t.sgd.Optimizer()); err != nil {
-			return err
-		}
-		t.sgd.SetStep(st.Step)
-		return nil
+		return checkpoint.SGDM(t.net, t.sgd.Optimizer(), t.sgd.StepCounter())
 	}
 	if cl, ok := t.eng.(*core.Cluster); ok {
-		// RestoreCluster validates the snapshot's replica count, policy and
-		// per-replica state and rejects single-pipeline snapshots loudly.
-		return checkpoint.RestoreCluster(st, cl)
+		return cl
 	}
-	if st.Cluster != nil {
-		return fmt.Errorf("train: snapshot holds %d-replica cluster state (policy %q); resume it with WithReplicas",
-			len(st.Cluster.Replicas), st.Cluster.Policy)
-	}
-	pt, ok := t.eng.(checkpoint.PipelineTrainer)
-	if !ok {
-		return fmt.Errorf("train: engine %q does not support checkpoint restore", t.o.engine)
-	}
-	return checkpoint.RestorePipeline(st, t.net, pt)
+	return checkpoint.Pipeline{Net: t.net, Engine: t.eng}
 }
 
 // Resume loads a snapshot saved by WithCheckpointEvery (or the checkpoint
@@ -322,12 +313,7 @@ func (t *Trainer) Resume(ctx context.Context, path string) error {
 	if err := t.precheck(ctx); err != nil {
 		return err
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("train: resume: %w", err)
-	}
-	defer f.Close()
-	st, err := checkpoint.Read(f)
+	st, err := checkpoint.Read(path)
 	if err != nil {
 		return fmt.Errorf("train: resume %s: %w", path, err)
 	}
@@ -353,18 +339,12 @@ func (t *Trainer) Checkpoint(path string) error {
 	meta := map[string]string{"engine": t.o.engine, "epoch": fmt.Sprint(t.epochs)}
 	if t.sgd != nil {
 		meta["engine"] = "sgdm"
-		return checkpoint.Save(path, t.net, t.sgd.Optimizer(), t.sgd.Step(), meta)
 	}
-	if cl, ok := t.eng.(*core.Cluster); ok {
-		meta["replicas"] = fmt.Sprint(cl.Replicas())
-		meta["sync"] = cl.PolicyName()
-		return checkpoint.SaveCluster(path, cl, meta)
+	st, err := checkpoint.Capture(t.view(), meta)
+	if err != nil {
+		return err
 	}
-	pt, ok := t.eng.(checkpoint.PipelineTrainer)
-	if !ok {
-		return fmt.Errorf("train: engine %q does not support checkpointing", t.o.engine)
-	}
-	return checkpoint.SavePipeline(path, t.net, pt, meta)
+	return checkpoint.Write(path, st)
 }
 
 // Fit trains for the given number of epochs, evaluating on testSet after

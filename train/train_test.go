@@ -319,7 +319,11 @@ func TestCheckpointResume(t *testing.T) {
 	cfg.WeightDecay = train.DefaultRef.WeightDecay
 	cfg.Schedule = sched.MultiStep{Base: 0.02, Milestones: []int{100, 190}, Gamma: 0.5}
 	engRef := core.NewPBTrainer(netRef, cfg)
-	if _, err := checkpoint.LoadPipeline(path, netRef, engRef); err != nil {
+	st, err := checkpoint.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.Restore(st, checkpoint.Pipeline{Net: netRef, Engine: engRef}); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3 * 7919))
@@ -460,14 +464,16 @@ func TestSGDMCheckpointRestoresSchedule(t *testing.T) {
 	netRef := build(42)
 	cfg := core.Config{LR: ref.Eta, Momentum: ref.Momentum, WeightDecay: ref.WeightDecay, Schedule: schedule}
 	sgdRef := core.NewSGDTrainer(netRef, cfg, ref.RefBatch)
-	st, err := checkpoint.Load(path, netRef, sgdRef.Optimizer())
+	st, err := checkpoint.Read(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Step != 8 {
-		t.Fatalf("snapshot carries step %d, want 8 (2 epochs × 4 updates)", st.Step)
+	if step := st.Replicas[0].Step; step != 8 {
+		t.Fatalf("snapshot carries step %d, want 8 (2 epochs × 4 updates)", step)
 	}
-	sgdRef.SetStep(st.Step)
+	if err := checkpoint.Restore(st, checkpoint.SGDM(netRef, sgdRef.Optimizer(), sgdRef.StepCounter())); err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(3 * 7919))
 	sgdRef.TrainEpoch(trainSet, trainSet.Perm(rng), nil, rng)
 	if !sameWeights(netRef.SnapshotWeights(), resumed.Network().SnapshotWeights()) {
@@ -681,7 +687,11 @@ func TestFacadeClusterCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer clRef.Close()
-	if _, err := checkpoint.LoadCluster(path, clRef); err != nil {
+	st, err := checkpoint.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.Restore(st, clRef); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9 * 7919))
