@@ -166,9 +166,6 @@ func main() {
 	if *replicas > 0 && sgdm {
 		fail("-replicas replicates the PB pipeline; the sgdm reference has none (drop -replicas or pick a pb method)")
 	}
-	if policy.GradReduce() && *replicas > 1 && *engine != "seq" && *engine != "lockstep" {
-		fail("-sync sync-grad averages per-update gradients and needs a stepped engine: -engine seq or lockstep, not %s", *engine)
-	}
 
 	s := fineStages
 	if *workers > 0 {

@@ -7,11 +7,12 @@ import (
 
 // GoroutineBudget pins the set of files allowed to spawn goroutines. The
 // repo's concurrency is deliberately concentrated: the tensor.Parallel
-// kernel worker group, the engine run loops (lockstep and async), and the
-// cluster's per-replica round dispatch. Every other `go` statement is a new
-// unaudited concurrency surface — new goroutines must either live in one of
-// the approved files or carry a per-site //lint:allow(goroutinebudget)
-// annotation that documents their lifecycle (who stops them, and when).
+// kernel worker group, the engine run loops (the lockstep engine's per-stage
+// lanes and the async stage loops), and the cluster's per-replica round
+// dispatch. Every other `go` statement is a new unaudited concurrency
+// surface — new goroutines must either live in one of the approved files or
+// carry a per-site //lint:allow(goroutinebudget) annotation that documents
+// their lifecycle (who stops them, and when).
 var GoroutineBudget = &Analyzer{
 	Name: "goroutinebudget",
 	Doc:  "`go` statements only in the approved worker files (tensor/parallel.go, core engine loops, cluster.go)",
@@ -22,7 +23,7 @@ var GoroutineBudget = &Analyzer{
 // file base name.
 var goroutineFiles = map[[2]string]bool{
 	{"internal/tensor", "parallel.go"}: true, // kernel worker group
-	{"internal/core", "parallel.go"}:   true, // lockstep engine workers
+	{"internal/core", "lockstep.go"}:   true, // lockstep engine's per-stage lanes
 	{"internal/core", "async.go"}:      true, // async engine stage loops
 	{"internal/core", "cluster.go"}:    true, // per-replica round dispatch
 	{"internal/obs", "bus.go"}:         true, // metrics-bus pump (fan-out loop)

@@ -269,7 +269,10 @@ func TestPipelineCheckpointAcrossEngines(t *testing.T) {
 
 	// Lockstep engine: exact resume.
 	netB := models.DeepMLP(6, 8, 3, 3, seed)
-	trB := core.NewParallelPBTrainer(netB, cfg)
+	trB, err := core.NewEngine("lockstep", netB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer trB.Close()
 	feed(trB, 0, train.Len()/2)
 	st, err := Capture(Pipeline{Net: netB, Engine: trB}, nil)
@@ -277,7 +280,10 @@ func TestPipelineCheckpointAcrossEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	netC := models.DeepMLP(6, 8, 3, 3, seed+9)
-	trC := core.NewParallelPBTrainer(netC, cfg)
+	trC, err := core.NewEngine("lockstep", netC, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer trC.Close()
 	if err := Restore(st, Pipeline{Net: netC, Engine: trC}); err != nil {
 		t.Fatal(err)

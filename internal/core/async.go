@@ -48,7 +48,7 @@ func (st *asyncStage) emitObs() {
 }
 
 // AsyncPBTrainer is the free-running concurrent engine for fine-grained
-// pipelined backpropagation. Unlike ParallelPBTrainer there is no global
+// pipelined backpropagation. Unlike the lockstep engine there is no global
 // per-step barrier: each stage goroutine owns its parameters, optimizer and
 // context FIFO outright and exchanges activations and gradients with its
 // neighbors through bounded channels, so a fast stage never waits for a slow
@@ -62,7 +62,7 @@ func (st *asyncStage) emitObs() {
 // the paper's GProp schedule, per stage, always. Backward packets are
 // consumed before forwards; the exact interleaving (and therefore the float
 // trajectory) depends on runtime scheduling. The deterministic concurrent
-// engine is ParallelPBTrainer.
+// engine is PBTrainer run as lockstep.
 //
 // The driver API is streaming: Submit feeds one sample (blocking when the
 // pipeline is saturated — bounded queues give natural backpressure) and
@@ -280,7 +280,7 @@ func (t *AsyncPBTrainer) Submit(ctx context.Context, x *tensor.Tensor, label int
 				rs = append(rs, r)
 			case <-t.donePing:
 			case <-done:
-				return t.harvest(rs), ctx.Err()
+				return t.cancelled(ctx, rs)
 			}
 		}
 	}
@@ -303,7 +303,7 @@ func (t *AsyncPBTrainer) Submit(ctx context.Context, x *tensor.Tensor, label int
 			// waiting for a completion that will never come.
 			t.nextID--
 			t.submitted--
-			return t.harvest(rs), ctx.Err()
+			return t.cancelled(ctx, rs)
 		}
 	}
 }
@@ -335,7 +335,7 @@ func (t *AsyncPBTrainer) Drain(ctx context.Context) ([]*Result, error) {
 			rs = append(rs, r)
 		case <-t.donePing:
 		case <-done:
-			return t.harvest(rs), ctx.Err()
+			return t.cancelled(ctx, rs)
 		}
 	}
 	rs = t.harvest(rs)
@@ -347,6 +347,15 @@ func (t *AsyncPBTrainer) Drain(ctx context.Context) ([]*Result, error) {
 	t.emitDriver(rs)
 	emitDrainSummary(t.obsDrv, t.Stats())
 	return rs, nil
+}
+
+// cancelled ends a Submit or Drain whose ctx was cancelled: it harvests the
+// completions already queued and publishes them, so the bus sees every
+// result the caller gets.
+func (t *AsyncPBTrainer) cancelled(ctx context.Context, rs []*Result) ([]*Result, error) {
+	rs = t.harvest(rs)
+	t.emitDriver(rs)
+	return rs, ctx.Err()
 }
 
 // dropPredictions clears ŵ from every stage's G. Only valid with the pipeline

@@ -14,11 +14,12 @@ import (
 )
 
 // This file implements the replicated-pipeline cluster engine: R independent
-// pipeline replicas — each an ordinary seq/lockstep/async engine over its own
-// copy of the network — behind the same Engine interface, fed by a
-// deterministic round-robin shard of the sample stream (sample g goes to
-// replica g mod R, exactly the data.Shard striding) and coordinated by a
-// pluggable weight-sync policy (internal/sync). This is the data+pipeline
+// pipeline replicas — each an ordinary engine (a PBTrainer run as seq or
+// lockstep, or an AsyncPBTrainer) over its own copy of the network — behind
+// the same Engine interface, fed by a deterministic round-robin shard of the
+// sample stream (sample g goes to replica g mod R, exactly the data.Shard
+// striding) and coordinated by a pluggable weight-sync policy
+// (internal/sync). This is the data+pipeline
 // hybrid of PipeDream (Harlap et al. 2018) and the replicated stages of
 // PipeDream-2BW (Narayanan et al. 2021) mapped onto the paper's fine-grained
 // pipelines; DESIGN.md §10 documents the semantics and the determinism
@@ -46,24 +47,13 @@ type replicaView interface {
 	SetStageUpdates(i, updates int)
 }
 
-// steppedEngine is the drive surface the sync-grad policy needs: explicit
-// Push/Step control so the cluster can run all replicas through the same
-// pipeline round concurrently, with the gradient-reduction barrier pairing
-// their same-numbered stage updates. PBTrainer and ParallelPBTrainer qualify;
-// the free-running async engine does not (it has no global step).
-type steppedEngine interface {
-	Push(x *tensor.Tensor, label int)
-	Step() *Result
-	Outstanding() int
-}
-
 // ClusterConfig configures NewCluster beyond the shared training Config.
 type ClusterConfig struct {
 	// Replicas is R. 0 means len(nets).
 	Replicas int
 	// Engine names the inner engine built per replica (NewEngine registry;
-	// "" = "seq"). Policies with GradReduce need a stepped engine
-	// ("seq" or "lockstep").
+	// "" = "seq"). Policies with GradReduce need a stepped engine, i.e. a
+	// PBTrainer: "seq" or "lockstep".
 	Engine string
 	// Policy coordinates replica weights; nil means sync.None.
 	Policy syncpol.Policy
@@ -117,9 +107,11 @@ type Cluster struct {
 	pending map[int]*Result
 	nextOut int
 
-	// sync-grad drive state (nil/unused for other policies).
+	// sync-grad drive state (nil/unused for other policies). stepped holds
+	// the replicas' engines, which must be *PBTrainer (seq or lockstep): the
+	// rounds need Push/Step, and async has no global step.
 	reducer  *gradReducer
-	stepped  []steppedEngine
+	stepped  []*PBTrainer
 	roundBuf []pendingSample
 
 	// obs is the cluster's driver-side producer for Config.Obs. The cluster
@@ -220,8 +212,8 @@ func (c *Cluster) buildReplica(net *nn.Network, workers int) (replicaView, error
 // update counters, which are aligned whenever this runs (fresh construction,
 // or a membership change on a drained-and-synced cluster).
 func (c *Cluster) installReducer() error {
-	for _, e := range c.engines {
-		for _, ss := range engineStages(e) {
+	for _, pb := range c.stepped {
+		for _, ss := range pb.stages {
 			ss.reduce = nil
 		}
 	}
@@ -231,16 +223,16 @@ func (c *Cluster) installReducer() error {
 		return nil
 	}
 	for _, e := range c.engines {
-		se, ok := e.(steppedEngine)
+		pb, ok := e.(*PBTrainer)
 		if !ok {
 			return fmt.Errorf("core: policy %q averages per-update gradients and needs a stepped engine (seq|lockstep), not %q",
 				c.policy.Name(), c.engineName)
 		}
-		c.stepped = append(c.stepped, se)
+		c.stepped = append(c.stepped, pb)
 	}
 	c.reducer = newGradReducer(c.engines)
-	for ri, e := range c.engines {
-		for _, ss := range engineStages(e) {
+	for ri, pb := range c.stepped {
+		for _, ss := range pb.stages {
 			ss.reduce = c.reducer.hook(ri)
 		}
 	}
@@ -298,18 +290,6 @@ func validateReplicaNets(nets []*nn.Network) error {
 				seen[p] = r
 			}
 		}
-	}
-	return nil
-}
-
-// engineStages exposes the per-stage runtime state of a stepped engine so the
-// cluster can install the gradient-reduction hook.
-func engineStages(e Engine) []*stageState {
-	switch t := e.(type) {
-	case *PBTrainer:
-		return t.stages
-	case *ParallelPBTrainer:
-		return t.inner.stages
 	}
 	return nil
 }

@@ -18,8 +18,9 @@ import (
 // engines:
 //
 //   - "seq":      PBTrainer — single-threaded, cycle-accurate reference.
-//   - "lockstep": ParallelPBTrainer — goroutine per stage, global barrier
-//     per half-step; bit-identical to seq, parallel within a step.
+//   - "lockstep": PBTrainer with each half-step sweep fanned out to one
+//     goroutine per stage behind a barrier; bit-identical to seq, parallel
+//     within a step.
 //   - "async":    AsyncPBTrainer — free-running stages over bounded
 //     queues, no barrier; staleness capped at D_s per stage.
 //
@@ -132,7 +133,7 @@ func init() {
 		return NewPBTrainer(net, cfg)
 	})
 	RegisterEngine("lockstep", func(net *nn.Network, cfg Config) Engine {
-		return NewParallelPBTrainer(net, cfg)
+		return newLockstep(net, cfg)
 	})
 	RegisterEngine("async", func(net *nn.Network, cfg Config) Engine {
 		return NewAsyncPBTrainer(net, cfg)
@@ -177,34 +178,15 @@ func (t *PBTrainer) Submit(ctx context.Context, x *tensor.Tensor, label int) ([]
 	return nil, nil
 }
 
-// Close implements Engine: it releases the trainer's kernel-worker groups.
-// Idempotent; the trainer remains usable afterwards with serial kernels.
-func (t *PBTrainer) Close() { closeParallels(t.pars) }
-
-// Submit implements Engine for the barrier-parallel trainer.
-func (t *ParallelPBTrainer) Submit(ctx context.Context, x *tensor.Tensor, label int) ([]*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
+// Close implements Engine: it retires the lockstep lanes and releases the
+// trainer's kernel-worker groups. Idempotent. A seq trainer remains usable
+// afterwards with serial kernels; a lockstep one panics on the next Step.
+func (t *PBTrainer) Close() {
+	if t.lanes != nil {
+		t.lanes.stop()
 	}
-	t.Push(x, label)
-	if r := t.Step(); r != nil {
-		t.inner.emitDriver([]*Result{r})
-		return []*Result{r}, nil
-	}
-	t.inner.emitDriver(nil)
-	return nil, nil
+	closeParallels(t.pars)
 }
-
-// NumStages returns the pipeline depth S.
-func (t *ParallelPBTrainer) NumStages() int { return t.inner.NumStages() }
-
-// InputBuffer delegates to the inner trainer's retired-input free list.
-func (t *ParallelPBTrainer) InputBuffer(shape ...int) *tensor.Tensor {
-	return t.inner.InputBuffer(shape...)
-}
-
-// Stats delegates to the step-based accounting of the inner trainer.
-func (t *ParallelPBTrainer) Stats() Stats { return t.inner.Stats() }
 
 // augFallbackSeed seeds the RNG RunEpoch derives when an augmenter is
 // supplied without one — a fixed constant, so the no-RNG path is

@@ -6,9 +6,10 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/models"
+	"repro/internal/nn"
 )
 
-func TestParallelMatchesSequential(t *testing.T) {
+func TestLockstepMatchesSequential(t *testing.T) {
 	// The goroutine-per-stage engine must produce a bit-identical weight
 	// trajectory to the sequential engine: the lockstep barrier makes the
 	// schedules equal and stage computations are worker-local.
@@ -21,7 +22,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		cfg.Mitigation = mit
 
 		seq := NewPBTrainer(netSeq, cfg)
-		par := NewParallelPBTrainer(netPar, cfg)
+		par := newLockstepT(t, netPar, cfg)
 		defer par.Close()
 
 		for i := 0; i < train.Len(); i++ {
@@ -50,11 +51,11 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestParallelObservedDelays(t *testing.T) {
+func TestLockstepObservedDelays(t *testing.T) {
 	seed := int64(81)
 	train, _ := data.GaussianBlobs(6, 3, 60, 0, 1, 0.5, seed)
 	net := models.DeepMLP(6, 8, 4, 3, seed)
-	par := NewParallelPBTrainer(net, Config{LR: 0.001, Momentum: 0.5})
+	par := newLockstepT(t, net, Config{LR: 0.001, Momentum: 0.5})
 	defer par.Close()
 	for i := 0; i < train.Len(); i++ {
 		x, y := train.Sample(i)
@@ -71,16 +72,16 @@ func TestParallelObservedDelays(t *testing.T) {
 	}
 }
 
-func TestParallelCloseIdempotent(t *testing.T) {
+func TestLockstepCloseIdempotent(t *testing.T) {
 	net := models.DeepMLP(4, 4, 2, 2, 1)
-	par := NewParallelPBTrainer(net, Config{LR: 0.01, Momentum: 0})
+	par := newLockstepT(t, net, Config{LR: 0.01, Momentum: 0})
 	par.Close()
 	par.Close() // second close must be a no-op
 }
 
-func TestParallelStepAfterClosePanics(t *testing.T) {
+func TestLockstepStepAfterClosePanics(t *testing.T) {
 	net := models.DeepMLP(4, 4, 2, 2, 1)
-	par := NewParallelPBTrainer(net, Config{LR: 0.01, Momentum: 0})
+	par := newLockstepT(t, net, Config{LR: 0.01, Momentum: 0})
 	par.Close()
 	defer func() {
 		if recover() == nil {
@@ -90,13 +91,13 @@ func TestParallelStepAfterClosePanics(t *testing.T) {
 	par.Step()
 }
 
-// TestParallelNoGoroutineLeak closes engines (idle and mid-flight) and
+// TestLockstepNoGoroutineLeak closes engines (idle and mid-flight) and
 // checks the worker goroutines are all retired.
-func TestParallelNoGoroutineLeak(t *testing.T) {
+func TestLockstepNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 2; round++ {
 		net := models.DeepMLP(6, 8, 4, 3, 1)
-		par := NewParallelPBTrainer(net, Config{LR: 0.01, Momentum: 0.5})
+		par := newLockstepT(t, net, Config{LR: 0.01, Momentum: 0.5})
 		train, _ := data.GaussianBlobs(6, 3, 4, 0, 1, 0.5, 1)
 		for i := 0; i < train.Len(); i++ {
 			x, y := train.Sample(i)
@@ -110,11 +111,11 @@ func TestParallelNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestParallelDrainPartial drains a pipeline holding fewer samples than its
+// TestLockstepDrainPartial drains a pipeline holding fewer samples than its
 // depth and expects every one back.
-func TestParallelDrainPartial(t *testing.T) {
+func TestLockstepDrainPartial(t *testing.T) {
 	net := models.DeepMLP(6, 8, 6, 3, 1) // deeper than the 3 samples fed
-	par := NewParallelPBTrainer(net, Config{LR: 0.01, Momentum: 0.5})
+	par := newLockstepT(t, net, Config{LR: 0.01, Momentum: 0.5})
 	defer par.Close()
 	train, _ := data.GaussianBlobs(6, 3, 3, 0, 1, 0.5, 1)
 	got := 0
@@ -131,9 +132,9 @@ func TestParallelDrainPartial(t *testing.T) {
 	}
 }
 
-func TestParallelDrainEmpty(t *testing.T) {
+func TestLockstepDrainEmpty(t *testing.T) {
 	net := models.DeepMLP(4, 4, 2, 2, 1)
-	par := NewParallelPBTrainer(net, Config{LR: 0.01, Momentum: 0})
+	par := newLockstepT(t, net, Config{LR: 0.01, Momentum: 0})
 	defer par.Close()
 	if rs := drain(par); len(rs) != 0 {
 		t.Fatal("drain of empty pipeline returned results")
@@ -141,4 +142,15 @@ func TestParallelDrainEmpty(t *testing.T) {
 	if par.Outstanding() != 0 {
 		t.Fatal("outstanding nonzero on fresh trainer")
 	}
+}
+
+// newLockstepT builds the lockstep engine through the registry and returns
+// it as the *PBTrainer it is, for the Push/Step drive surface.
+func newLockstepT(t *testing.T, net *nn.Network, cfg Config) *PBTrainer {
+	t.Helper()
+	e, err := NewEngine("lockstep", net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.(*PBTrainer)
 }

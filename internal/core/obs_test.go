@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,6 +60,69 @@ func TestObsDoesNotPerturbTraining(t *testing.T) {
 				if !p1[i].W.AllClose(p2[i].W, 0) {
 					t.Fatalf("engine %s: param %s differs with the bus enabled", engine, p1[i].Name)
 				}
+			}
+		})
+	}
+}
+
+// TestCancelPublishesResults pins the bus contract on the cancel paths:
+// every result Submit and Drain hand the caller is also published as one
+// KindSampleDone event, even when ctx is cancelled inside Drain. A StageDelay
+// hook cancels on the 3rd stage-0 backward of the Drain. The free-running
+// async engine may finish its drain first, so only the deterministic engines
+// must report the cancellation; the event count must match on all three.
+func TestCancelPublishesResults(t *testing.T) {
+	for _, engine := range []string{"seq", "lockstep", "async"} {
+		t.Run(engine, func(t *testing.T) {
+			net, train, _ := trainSetup(2, 61)
+			if net.NumStages() != 3 {
+				t.Fatalf("test harness: %d stages, want 3", net.NumStages())
+			}
+			bus := obs.NewBus()
+			defer bus.Close()
+			var events atomic.Int64
+			bus.SubscribeFunc(func(ev obs.Event) {
+				if ev.Kind == obs.KindSampleDone {
+					events.Add(1)
+				}
+			})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var draining atomic.Bool
+			var stage0Bwd atomic.Int64
+			cfg := Config{LR: 0.05, Momentum: 0.9, Obs: bus}
+			cfg.StageDelay = func(p ChaosPoint) time.Duration {
+				if draining.Load() && p.Stage == 0 && p.Backward && stage0Bwd.Add(1) == 3 {
+					cancel()
+				}
+				return 0
+			}
+			e, err := NewEngine(engine, net, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+
+			got := 0
+			shape := append([]int{1}, train.Shape...)
+			for i := 0; i < 40; i++ {
+				x := e.InputBuffer(shape...)
+				copy(x.Data, train.Samples[i])
+				rs, err := e.Submit(ctx, x, train.Labels[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				got += len(rs)
+			}
+			draining.Store(true)
+			rs, err := e.Drain(ctx)
+			got += len(rs)
+			if engine != "async" && !errors.Is(err, context.Canceled) {
+				t.Fatalf("Drain returned %v, want the cancellation", err)
+			}
+			bus.Close() // the final sweep delivers every ringed event
+			if n := events.Load(); n != int64(got) {
+				t.Fatalf("%d KindSampleDone events for %d returned results", n, got)
 			}
 		})
 	}

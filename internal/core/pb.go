@@ -104,18 +104,30 @@ const maxFreeInputs = 8
 // PBTrainer trains a network with fine-grained pipelined backpropagation at
 // update size one. Construct with NewPBTrainer; feed samples with Push and
 // advance with Step, or use TrainEpoch for the common loop.
+// The "seq" engine runs each of a step's two sweeps as a loop; "lockstep"
+// fans them out to per-stage lanes (lockstep.go) and is bit-identical.
 type PBTrainer struct {
 	Net    *nn.Network
 	Cfg    Config
 	stages []*stageState
-	fwd    []*inflight
-	bwd    []*nn.Packet
-	// lossGrad carries the same-step backward input of the last stage.
+	// fwd and bwd hold the activations and gradients arriving at each stage
+	// this step; the sweeps write next step's arrivals into nextFwd and
+	// nextBwd, and Step swaps the pairs.
+	fwd     []*inflight
+	bwd     []*nn.Packet
+	nextFwd []*inflight
+	nextBwd []*nn.Packet
+	// lossGrad carries the same-step backward input of the last stage, and
+	// result the sample whose loss was computed this step.
+	lossGrad *nn.Packet
+	result   *Result
+	// lanes runs the sweeps on per-stage goroutines (lockstep; nil = seq).
+	lanes *lanes
+	// pending is the sample Push queued for the next Step.
 	pending     *inflight
 	outstanding int
 	completed   int
 	nextID      int
-	step        int
 	updateStep  int
 	// Steps counts pipeline steps, used for utilization accounting.
 	Steps int
@@ -178,6 +190,8 @@ func newPBTrainer(net *nn.Network, cfg Config) *PBTrainer {
 	}
 	t.fwd = make([]*inflight, s)
 	t.bwd = make([]*nn.Packet, s)
+	t.nextFwd = make([]*inflight, s)
+	t.nextBwd = make([]*nn.Packet, s)
 	attachStageObs(cfg.Obs, t.stages)
 	t.obs = driverProducer(cfg.Obs)
 	return t
@@ -259,77 +273,84 @@ func recycleInput(free *[]*tensor.Tensor, x *tensor.Tensor) {
 // Step advances the pipeline by one step: every stage performs its forward
 // and backward transformation and applies at most one weight update. It
 // returns the result of the sample whose loss was computed this step, if
-// any.
+// any. On the lockstep engine it panics after Close.
 func (t *PBTrainer) Step() *Result {
-	s := len(t.stages)
-	var result *Result
-	var lossGrad *nn.Packet
-
 	if t.pending != nil {
 		t.fwd[0] = t.pending
 		t.pending = nil
 	}
-
-	// Forward sweep. Stage s processes the activation that arrived this
-	// step; its output arrives at stage s+1 on the next step: descending
-	// order lets stage i write directly into t.fwd[i+1] (already consumed
-	// this step) instead of double-buffering, and the incoming inflight
-	// wrapper is reused for the outgoing activation. Stage compute touches
-	// only stage-local state, so the within-step order is immaterial.
-	for i := s - 1; i >= 0; i-- {
-		in := t.fwd[i]
-		if in == nil {
-			continue
+	t.result = nil
+	if t.lanes != nil {
+		t.lanes.sweep(false) // forward
+		t.lanes.sweep(true)  // backward
+	} else {
+		for i := range t.stages {
+			t.forwardStage(i)
 		}
-		t.fwd[i] = nil
-		st := t.stages[i]
-		st.stall(false)
-		out := st.runForward(in)
-		if i < s-1 {
-			in.packet = out
-			t.fwd[i+1] = in
-			continue
-		}
-		var loss float64
-		var correct bool
-		loss, correct, lossGrad = st.runLossHead(t.Net.Head, out, in.label)
-		result = &Result{ID: in.id, Loss: loss, Correct: correct}
-	}
-
-	// Backward sweep. Stage s consumes the gradient that arrived this step
-	// (for the last stage: the loss gradient computed this very step) and
-	// updates its weights immediately — update size one, no draining.
-	// Ascending order lets stage i write directly into t.bwd[i-1] (already
-	// consumed this step) for next-step delivery; per-stage updates are
-	// independent, so the compute order within a step does not affect the
-	// trajectory.
-	for i := 0; i < s; i++ {
-		var dIn *nn.Packet
-		if i == s-1 {
-			dIn = lossGrad
-		} else {
-			dIn = t.bwd[i]
-			t.bwd[i] = nil
-		}
-		if dIn == nil {
-			continue
-		}
-		st := t.stages[i]
-		st.stall(true)
-		dx := st.runBackward(dIn, t.Cfg.lrAt(t.updateStep))
-		if i == 0 {
-			t.outstanding--
-			t.completed++
-			recycleInput(&t.inputFree, dx.X)
-		} else {
-			t.bwd[i-1] = dx
+		for i := range t.stages {
+			t.backwardStage(i)
 		}
 	}
-
-	t.step++
+	// Both sweeps consumed every arrival, so fwd and bwd are all nil again
+	// and become the next step's outputs.
+	t.fwd, t.nextFwd = t.nextFwd, t.fwd
+	t.bwd, t.nextBwd = t.nextBwd, t.bwd
 	t.updateStep++
 	t.Steps++
-	return result
+	return t.result
+}
+
+// forwardStage is stage i's half of the forward sweep: it processes the
+// activation that arrived this step and hands the output to stage i+1 for
+// the next step, reusing the incoming inflight wrapper. The last stage runs
+// the loss head instead, producing this step's result and the loss
+// gradient its own backward consumes in the same step.
+func (t *PBTrainer) forwardStage(i int) {
+	in := t.fwd[i]
+	if in == nil {
+		return
+	}
+	t.fwd[i] = nil
+	st := t.stages[i]
+	st.stall(false)
+	out := st.runForward(in)
+	if i < len(t.stages)-1 {
+		in.packet = out
+		t.nextFwd[i+1] = in
+		return
+	}
+	loss, correct, grad := st.runLossHead(t.Net.Head, out, in.label)
+	t.lossGrad = grad
+	t.result = &Result{ID: in.id, Loss: loss, Correct: correct}
+}
+
+// backwardStage is stage i's half of the backward sweep: it consumes the
+// gradient that arrived this step (for the last stage, the loss gradient
+// computed this very step) and updates its weights immediately — update
+// size one, no draining. Stage 0 retires the sample; every other stage
+// hands its input gradient to stage i−1 for the next step.
+func (t *PBTrainer) backwardStage(i int) {
+	var dIn *nn.Packet
+	if i == len(t.stages)-1 {
+		dIn = t.lossGrad
+		t.lossGrad = nil
+	} else {
+		dIn = t.bwd[i]
+		t.bwd[i] = nil
+	}
+	if dIn == nil {
+		return
+	}
+	st := t.stages[i]
+	st.stall(true)
+	dx := st.runBackward(dIn, t.Cfg.lrAt(t.updateStep))
+	if i == 0 {
+		t.outstanding--
+		t.completed++
+		recycleInput(&t.inputFree, dx.X)
+	} else {
+		t.nextBwd[i-1] = dx
+	}
 }
 
 // pending reports the number of contexts (samples) awaiting their backward
@@ -366,7 +387,8 @@ func (s *stageState) pop() stageCtx {
 // Drain advances the pipeline without feeding new samples until every
 // in-flight sample has completed, returning their results. A cancelled ctx
 // stops the drain early, returning the results collected so far and ctx's
-// error; remaining samples stay in flight.
+// error (the collected results are still published to the bus); remaining
+// samples stay in flight.
 func (t *PBTrainer) Drain(ctx context.Context) ([]*Result, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -374,6 +396,7 @@ func (t *PBTrainer) Drain(ctx context.Context) ([]*Result, error) {
 	var rs []*Result
 	for t.outstanding > 0 {
 		if err := ctxErr(ctx); err != nil {
+			t.emitDriver(rs)
 			return rs, err
 		}
 		if r := t.Step(); r != nil {
@@ -460,7 +483,4 @@ func (t *PBTrainer) SetStageUpdates(i, updates int) {
 func (t *PBTrainer) UpdateStep() int { return t.updateStep }
 
 // SetUpdateStep restores the schedule position from a checkpoint.
-func (t *PBTrainer) SetUpdateStep(step int) {
-	t.step = step
-	t.updateStep = step
-}
+func (t *PBTrainer) SetUpdateStep(step int) { t.updateStep = step }

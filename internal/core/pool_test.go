@@ -209,6 +209,11 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		{"async", 40, 30, None},
 		{"seq", 0, 15, LWPvDSCD},
 		{"async", 0, 30, LWPvDSCD},
+		// lockstep is seq with its sweeps fanned out to persistent lanes:
+		// same budget, so no per-step goroutine or closure.
+		{"lockstep", 0, 15, None},
+		{"lockstep", 40, 15, None},
+		{"lockstep", 0, 15, LWPvDSCD},
 	} {
 		net := models.ResNet(models.MiniResNet(20, 4, 8, 10, 1))
 		cfg := ScaledConfig(0.05, 0.9, 32, 1)

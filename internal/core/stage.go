@@ -12,10 +12,10 @@ import (
 // This file holds the engine-independent per-stage compute: the forward and
 // backward transformation of one sample at one stage, including the
 // mitigation machinery (weight prediction, stashing, spike compensation via
-// the optimizer, gradient shrinking). The sequential PBTrainer, the lockstep
-// ParallelPBTrainer and the free-running AsyncPBTrainer all drive these same
-// routines with different schedules; only the scheduling differs between
-// engines, never the math.
+// the optimizer, gradient shrinking). PBTrainer (one step's sweeps run
+// serially by seq, or fanned out to per-stage lanes by lockstep) and the
+// free-running AsyncPBTrainer drive these same routines with different
+// schedules; only the scheduling differs between engines, never the math.
 //
 // Each stage owns a tensor.Arena (nil when Config.Unpooled is set): all
 // activation, gradient and im2col buffers the stage's compute needs are

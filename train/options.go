@@ -40,7 +40,6 @@ type options struct {
 	policy        syncpol.Policy
 	ckptEvery     int
 	ckptPath      string
-	unpooled      bool
 	stageDelay    func(core.ChaosPoint) time.Duration
 	admitBound    int
 	seed          int64
@@ -186,14 +185,6 @@ func WithCheckpointEvery(n int, path string) Option {
 	}
 }
 
-// WithUnpooled disables the per-stage tensor arenas, allocating fresh
-// buffers for every operation exactly like the pre-pooling engines. Slower,
-// numerically identical — the reference mode the pooled-equivalence tests
-// compare against.
-func WithUnpooled() Option {
-	return func(o *options) { o.unpooled = true }
-}
-
 // WithStageDelay installs a chaos stall hook on the pipelined engines: fn is
 // consulted at every stage visit (forward and backward) with the visit's
 // ChaosPoint and the stage sleeps for the returned duration before computing.
@@ -233,7 +224,7 @@ func WithSeed(seed int64) Option {
 
 // WithSGDM trains with the paper's mini-batch SGDM reference (update size
 // RefBatch, no pipeline, no delay) instead of a pipelined engine. Engine,
-// mitigation, worker and unpooled options are ignored in this mode, and
+// mitigation and worker options are ignored in this mode, and
 // per-sample hooks do not fire (the reference trainer reports per batch).
 func WithSGDM() Option {
 	return func(o *options) { o.sgdm = true }

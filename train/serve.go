@@ -33,8 +33,6 @@ type ServerConfig struct {
 	// KernelWorkers is the total kernel-worker budget, split across
 	// replicas.
 	KernelWorkers int
-	// Unpooled disables arena pooling (reference mode).
-	Unpooled bool
 	// Seed is passed to the Builder (default 1). The built weights serve as
 	// the initial weight set until a checkpoint is loaded.
 	Seed int64
@@ -113,9 +111,8 @@ func NewServer(build Builder, cfg ServerConfig) (*Server, error) {
 	// directly.
 	loader.ConvertTo(cfg.DType)
 	eng, err := core.NewInfer(nets, core.InferConfig{
-		Workers:  cfg.KernelWorkers,
-		Unpooled: cfg.Unpooled,
-		Obs:      cfg.Obs,
+		Workers: cfg.KernelWorkers,
+		Obs:     cfg.Obs,
 	})
 	if err != nil {
 		return nil, err

@@ -226,7 +226,6 @@ func (t *Trainer) ensureBuilt(trainSet *data.Dataset, epochs int) error {
 		cfg := core.ScaledConfig(ref.Eta, ref.Momentum, ref.RefBatch, updateSize)
 		cfg.WeightDecay = ref.WeightDecay
 		cfg.Mitigation = t.o.mit
-		cfg.Unpooled = t.o.unpooled
 		cfg.Workers = t.o.kernelWorkers
 		cfg.Obs = t.o.obsBus
 		cfg.StageDelay = t.o.stageDelay
@@ -246,7 +245,6 @@ func (t *Trainer) ensureBuilt(trainSet *data.Dataset, epochs int) error {
 		cfg := core.ScaledConfig(ref.Eta, ref.Momentum, ref.RefBatch, 1)
 		cfg.WeightDecay = ref.WeightDecay
 		cfg.Mitigation = t.o.mit
-		cfg.Unpooled = t.o.unpooled
 		cfg.Workers = t.o.kernelWorkers
 		cfg.Obs = t.o.obsBus
 		cfg.StageDelay = t.o.stageDelay

@@ -71,7 +71,7 @@ func sameWeights(a, b [][]float64) bool {
 // TestFacadeMatchesDirectEngine is the redesign's bit-identity proof (the
 // TestPooledMatchesUnpooled* equivalent through the façade): for the
 // deterministic engines and a spread of mitigations, Fit must reproduce the
-// hand-wired pre-redesign loop exactly — pooled and unpooled.
+// hand-wired pre-redesign loop exactly.
 func TestFacadeMatchesDirectEngine(t *testing.T) {
 	trainSet, testSet, build := blobTask()
 	ref := train.RefHyper{Eta: 0.1, Momentum: 0.9, WeightDecay: 1e-4, RefBatch: 16}
@@ -80,14 +80,13 @@ func TestFacadeMatchesDirectEngine(t *testing.T) {
 		for _, mit := range []core.Mitigation{core.None, core.LWPvDSCD, core.WeightStash} {
 			wantCurve, wantW := directRun(t, build, kind, mit, ref, trainSet, testSet, epochs, seed)
 
-			run := func(extra ...train.Option) ([]float64, [][]float64) {
-				opts := append([]train.Option{
+			run := func() ([]float64, [][]float64) {
+				tr := train.New(build,
 					train.WithEngine(kind),
 					train.WithMitigations(mit),
 					train.WithRefHyper(ref),
 					train.WithSeed(seed),
-				}, extra...)
-				tr := train.New(build, opts...)
+				)
 				defer tr.Close()
 				rep, err := tr.Fit(context.Background(), trainSet, testSet, epochs)
 				if err != nil {
@@ -104,10 +103,6 @@ func TestFacadeMatchesDirectEngine(t *testing.T) {
 				if wantCurve[i] != gotCurve[i] {
 					t.Fatalf("%s/%s: façade curve deviates at epoch %d: %v vs %v", kind, mit.Name(), i+1, gotCurve[i], wantCurve[i])
 				}
-			}
-			_, unpooledW := run(train.WithUnpooled())
-			if !sameWeights(wantW, unpooledW) {
-				t.Fatalf("%s/%s: WithUnpooled deviates from the pooled trajectory", kind, mit.Name())
 			}
 		}
 	}
