@@ -15,15 +15,6 @@ import (
 	"path/filepath"
 )
 
-// ModuleRoot returns the directory of the enclosing module.
-func ModuleRoot() (string, error) {
-	out, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
-	if err != nil {
-		return "", fmt.Errorf("analysis: go list -m: %v", err)
-	}
-	return string(bytes.TrimSpace(out)), nil
-}
-
 // Package is one loaded, parsed and type-checked target package.
 type Package struct {
 	ImportPath string

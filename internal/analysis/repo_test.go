@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -120,4 +122,13 @@ func c() {}
 			t.Errorf("diag %d rule = %q, want \"allow\"", i, diags[i].Rule)
 		}
 	}
+}
+
+// ModuleRoot returns the directory of the enclosing module.
+func ModuleRoot() (string, error) {
+	out, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
+	if err != nil {
+		return "", fmt.Errorf("analysis: go list -m: %v", err)
+	}
+	return string(bytes.TrimSpace(out)), nil
 }

@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -293,4 +294,54 @@ func TestAdmitBoundScenario(t *testing.T) {
 	if rep.FinalLoss <= 0 {
 		t.Fatalf("no losses recorded: %+v", rep)
 	}
+}
+
+// Events materializes the full injected-event list in a canonical order —
+// the schedule-determinism surface (TestScheduleDeterministic): compiling the
+// same spec twice must yield deep-equal event lists.
+func (s *Schedule) Events() []Event {
+	var evs []Event
+	for _, m := range s.spec.Models {
+		for _, rg := range m.Regimes {
+			evs = append(evs, Event{Kind: "regime", At: rg.FromUpdate, Replica: m.Replica, Stage: m.Stage, Name: rg.Name})
+		}
+	}
+	for _, f := range s.stalls {
+		evs = append(evs, Event{Kind: "stall", At: f.At, Replica: f.Replica, Stage: f.Stage})
+	}
+	for _, f := range s.crashes {
+		evs = append(evs, Event{Kind: "crash", At: f.At, Replica: f.Replica, Stage: -1})
+	}
+	ords := make([]int, 0, len(s.ckpt))
+	for o := range s.ckpt {
+		ords = append(ords, o)
+	}
+	sort.Ints(ords)
+	for _, o := range ords {
+		evs = append(evs, Event{Kind: "ckpt-fail", At: o, Replica: -1, Stage: -1})
+	}
+	for _, m := range s.elastic {
+		kind := "join"
+		r := -1
+		if m.Remove >= 0 {
+			kind, r = "remove", m.Remove
+		}
+		evs = append(evs, Event{Kind: kind, At: m.AtSample, Replica: r, Stage: -1})
+	}
+	return evs
+}
+
+// Event is one materialized schedule entry — the flattened, sorted dump of
+// everything a compiled scenario will inject. Tests pin schedule determinism
+// on it (same spec ⇒ deep-equal event lists).
+type Event struct {
+	// Kind is "crash", "stall", "ckpt-fail", "remove", "join" or "regime".
+	Kind string
+	// At is the event coordinate: global sample cursor (crash, remove, join),
+	// stage-update index (stall, regime), or save ordinal (ckpt-fail).
+	At      int
+	Replica int
+	Stage   int
+	// Name is the regime name (regime events only).
+	Name string
 }

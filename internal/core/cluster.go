@@ -38,20 +38,23 @@ import (
 
 // replicaView is what the cluster needs from each inner engine beyond the
 // Engine interface: stage-indexed parameter/optimizer access for the sync
-// policies and checkpointing. All built-in engines satisfy it.
+// policies and checkpointing. newEngine returns it, so every engine in the
+// closed set is checked at compile time to satisfy it.
 type replicaView interface {
 	Engine
 	StageParams(i int) []*nn.Param
 	StageOptimizer(i int) *optim.Momentum
 	StageUpdates(i int) int
 	SetStageUpdates(i, updates int)
+	// dropPredictions clears ŵ from every stage's G on a quiesced replica.
+	dropPredictions()
 }
 
 // ClusterConfig configures NewCluster beyond the shared training Config.
 type ClusterConfig struct {
 	// Replicas is R. 0 means len(nets).
 	Replicas int
-	// Engine names the inner engine built per replica (NewEngine registry;
+	// Engine names the inner engine built per replica (one of EngineNames;
 	// "" = "seq"). Policies with GradReduce need a stepped engine, i.e. a
 	// PBTrainer: "seq" or "lockstep".
 	Engine string
@@ -191,16 +194,7 @@ func (c *Cluster) buildReplica(net *nn.Network, workers int) (replicaView, error
 		}
 	}
 	c.nextIdentity++
-	eng, err := NewEngine(c.engineName, net, rcfg)
-	if err != nil {
-		return nil, err
-	}
-	rv, ok := eng.(replicaView)
-	if !ok {
-		eng.Close()
-		return nil, fmt.Errorf("core: engine %q cannot join a cluster (no stage-state access)", c.engineName)
-	}
-	return rv, nil
+	return newEngine(c.engineName, net, rcfg)
 }
 
 // installReducer (re)builds the sync-grad gradient-reduction harness for the
@@ -321,10 +315,10 @@ func (c *Cluster) checkQuiesced(op string) error {
 // RemoveReplica removes replica slot i from a quiesced cluster: its engine is
 // closed, its network detached, and the survivors continue with their state
 // untouched. The shard routing re-partitions from the current cursor on —
-// sample g ≥ submitted routes to surviving slot g mod (R−1), exactly
-// data.ShardTail over the survivors — and the change point is a sync boundary
-// (membershipChanged). Removing the last replica is refused: a cluster always
-// has a canonical network.
+// sample g ≥ submitted routes to surviving slot g mod (R−1), the tail shard
+// internal/data's ShardTail test helper specifies — and the change point is a
+// sync boundary (membershipChanged). Removing the last replica is refused: a
+// cluster always has a canonical network.
 func (c *Cluster) RemoveReplica(i int) error {
 	if err := c.checkQuiesced("RemoveReplica"); err != nil {
 		return err
@@ -549,9 +543,7 @@ func (c *Cluster) runSync() {
 	// sync-grad quiesces through drainRounds, not the engines' Drain, so
 	// their predictions are still in G here.
 	for _, e := range c.engines {
-		if d, ok := e.(interface{ dropPredictions() }); ok {
-			d.dropPredictions()
-		}
+		e.dropPredictions()
 	}
 	c.syncs++
 	c.lastSync = c.submitted

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/data"
 	"repro/internal/metrics"
@@ -23,8 +21,6 @@ import (
 //     within a step.
 //   - "async":    AsyncPBTrainer — free-running stages over bounded
 //     queues, no barrier; staleness capped at D_s per stage.
-//
-// Additional engines can be added with RegisterEngine.
 //
 // Submit feeds one sample and returns whatever results completed; the
 // engine takes ownership of x (its storage is recycled into the stage-0
@@ -56,9 +52,8 @@ type Engine interface {
 	Stats() Stats
 }
 
-// Stats is a point-in-time snapshot of an engine's accounting. It replaces
-// the old Utilization(samplesCompleted) call: engines count their own
-// completions now, so a snapshot needs no caller-supplied state.
+// Stats is a point-in-time snapshot of an engine's accounting. Engines count
+// their own completions, so a snapshot needs no caller-supplied state.
 type Stats struct {
 	// Stages is the pipeline depth S.
 	Stages int
@@ -88,71 +83,34 @@ type Stats struct {
 	AdmitDeferred int
 }
 
-// EngineFactory constructs an engine over a staged network. Factories are
-// invoked by NewEngine; the caller owns (and must Close) the result.
-type EngineFactory func(net *nn.Network, cfg Config) Engine
+// engineNames is the closed engine set, sorted.
+var engineNames = []string{"async", "lockstep", "seq"}
 
-var (
-	engineMu       sync.RWMutex
-	engineRegistry = map[string]EngineFactory{}
-)
+// EngineNames lists the engine selectors NewEngine accepts, sorted.
+func EngineNames() []string { return append([]string(nil), engineNames...) }
 
-// RegisterEngine adds a named engine factory to the registry used by
-// NewEngine and EngineNames. It panics on an empty name, a nil factory, or
-// a duplicate registration — engine names are load-time constants, so a
-// collision is a programming error, not a runtime condition.
-func RegisterEngine(name string, factory EngineFactory) {
-	if name == "" {
-		panic("core: RegisterEngine with empty name")
-	}
-	if factory == nil {
-		panic("core: RegisterEngine(" + name + ") with nil factory")
-	}
-	engineMu.Lock()
-	defer engineMu.Unlock()
-	if _, dup := engineRegistry[name]; dup {
-		panic("core: RegisterEngine(" + name + ") registered twice")
-	}
-	engineRegistry[name] = factory
-}
-
-// EngineNames lists the registered engine selectors, sorted.
-func EngineNames() []string {
-	engineMu.RLock()
-	defer engineMu.RUnlock()
-	names := make([]string, 0, len(engineRegistry))
-	for name := range engineRegistry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	RegisterEngine("seq", func(net *nn.Network, cfg Config) Engine {
-		return NewPBTrainer(net, cfg)
-	})
-	RegisterEngine("lockstep", func(net *nn.Network, cfg Config) Engine {
-		return newLockstep(net, cfg)
-	})
-	RegisterEngine("async", func(net *nn.Network, cfg Config) Engine {
-		return NewAsyncPBTrainer(net, cfg)
-	})
-}
-
-// NewEngine constructs the named engine from the registry; the empty name
-// selects the sequential reference. Callers must Close the result.
+// NewEngine constructs the named engine; the empty name selects the
+// sequential reference. Callers must Close the result.
 func NewEngine(kind string, net *nn.Network, cfg Config) (Engine, error) {
-	if kind == "" {
-		kind = "seq"
+	e, err := newEngine(kind, net, cfg)
+	if err != nil {
+		return nil, err
 	}
-	engineMu.RLock()
-	factory := engineRegistry[kind]
-	engineMu.RUnlock()
-	if factory == nil {
-		return nil, fmt.Errorf("core: unknown engine %q (want %s)", kind, strings.Join(EngineNames(), "|"))
+	return e, nil
+}
+
+// newEngine is NewEngine typed as what a Cluster replica needs, so that
+// every engine in the set is checked at compile time to be able to join one.
+func newEngine(kind string, net *nn.Network, cfg Config) (replicaView, error) {
+	switch kind {
+	case "", "seq":
+		return NewPBTrainer(net, cfg), nil
+	case "lockstep":
+		return newLockstep(net, cfg), nil
+	case "async":
+		return NewAsyncPBTrainer(net, cfg), nil
 	}
-	return factory(net, cfg), nil
+	return nil, fmt.Errorf("core: unknown engine %q (want %s)", kind, strings.Join(engineNames, "|"))
 }
 
 // ctxErr reports a context's error, treating nil as context.Background().

@@ -3,8 +3,7 @@ package core
 import (
 	"context"
 	"slices"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -12,69 +11,41 @@ import (
 	"repro/internal/nn"
 )
 
-// testAliasBuilds counts test-seq-alias factory invocations; the guard
-// keeps the process-global registration idempotent under `go test -count=N`,
-// which reruns tests in one process.
-var (
-	testAliasOnce   sync.Once
-	testAliasBuilds atomic.Int64
-)
-
-// TestRegisterEngineExtends proves the factory is data-driven: a custom
-// registration is immediately listed by EngineNames and constructible by
-// NewEngine. (The registry is process-global, so the name stays registered
-// for the rest of the test binary — use one nothing else claims.)
-func TestRegisterEngineExtends(t *testing.T) {
-	testAliasOnce.Do(func() {
-		RegisterEngine("test-seq-alias", func(net *nn.Network, cfg Config) Engine {
-			testAliasBuilds.Add(1)
-			return NewPBTrainer(net, cfg)
-		})
-	})
-	if !slices.Contains(EngineNames(), "test-seq-alias") {
-		t.Fatalf("EngineNames() = %v, missing custom registration", EngineNames())
+// TestEngineNamesListsBuiltins pins the closed engine set: EngineNames is
+// exactly the three built-in names, each builds through NewEngine, "" is the
+// seq reference, and an unknown name's error lists every valid one.
+func TestEngineNamesListsBuiltins(t *testing.T) {
+	want := []string{"async", "lockstep", "seq"}
+	if got := EngineNames(); !slices.Equal(got, want) {
+		t.Fatalf("EngineNames() = %v, want %v", got, want)
 	}
-	before := testAliasBuilds.Load()
-	e, err := NewEngine("test-seq-alias", models.DeepMLP(4, 4, 2, 2, 1), Config{LR: 0.01})
+	EngineNames()[0] = "mutated"
+	if got := EngineNames(); !slices.Equal(got, want) {
+		t.Fatalf("EngineNames() aliases its backing list: %v", got)
+	}
+	net := func() *nn.Network { return models.DeepMLP(4, 4, 2, 2, 1) }
+	for _, name := range want {
+		e, err := NewEngine(name, net(), Config{LR: 0.01})
+		if err != nil {
+			t.Fatalf("NewEngine(%q): %v", name, err)
+		}
+		e.Close()
+	}
+	e, err := NewEngine("", net(), Config{LR: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if got := testAliasBuilds.Load() - before; got != 1 {
-		t.Fatalf("factory invoked %d times, want 1", got)
+	if pb, ok := e.(*PBTrainer); !ok || pb.lanes != nil {
+		t.Fatalf(`NewEngine("") = %T, want a seq *PBTrainer`, e)
 	}
-	train, _ := data.GaussianBlobs(4, 2, 8, 0, 1, 0.5, 1)
-	if _, _, err := RunEpoch(context.Background(), e, train, nil, nil, nil, nil); err != nil {
-		t.Fatal(err)
+	_, err = NewEngine("nope", net(), Config{LR: 0.01})
+	if err == nil {
+		t.Fatal("unknown engine accepted")
 	}
-	if st := e.Stats(); st.Completed != train.Len() {
-		t.Fatalf("custom engine completed %d of %d", st.Completed, train.Len())
-	}
-}
-
-func TestRegisterEngineRejectsDuplicatesAndNil(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("duplicate", func() {
-		RegisterEngine("seq", func(net *nn.Network, cfg Config) Engine { return NewPBTrainer(net, cfg) })
-	})
-	mustPanic("empty name", func() {
-		RegisterEngine("", func(net *nn.Network, cfg Config) Engine { return NewPBTrainer(net, cfg) })
-	})
-	mustPanic("nil factory", func() { RegisterEngine("test-nil-factory", nil) })
-}
-
-func TestEngineNamesListsBuiltins(t *testing.T) {
-	names := EngineNames()
-	for _, want := range []string{"seq", "lockstep", "async"} {
-		if !slices.Contains(names, want) {
-			t.Fatalf("EngineNames() = %v, missing %q", names, want)
+	for _, name := range want {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-engine error %q does not list %q", err, name)
 		}
 	}
 }

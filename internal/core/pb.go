@@ -51,8 +51,9 @@ type stageState struct {
 	// mode). Only the goroutine driving the stage may touch it.
 	arena *tensor.Arena
 	// par is the stage's intra-kernel worker group (nil = serial kernels).
-	// Engines assign it from Config.Workers — see attachKernelWorkers. Like
-	// the arena, it is only driven by the goroutine running the stage.
+	// Engines assign it from Config.Workers — see attachSharedKernelWorkers
+	// and attachPerStageKernelWorkers. Like the arena, it is only driven by
+	// the goroutine running the stage.
 	par *tensor.Parallel
 	// labelBuf backs the one-element label slice of the loss head, so the
 	// hot path does not allocate it per sample.

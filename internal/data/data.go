@@ -102,33 +102,6 @@ func Shard(perm []int, i, n int) []int {
 	return out
 }
 
-// ShardTail returns the i-th of n strided views over the tail of an epoch
-// order starting at global cursor from: the elements perm[g] with g ≥ from
-// and g mod n == i. This is the shard a replica slot owns after an elastic
-// membership change at cursor from — core.Cluster's global cursor keeps
-// counting across the change, so sample g ≥ from routes to surviving slot
-// g mod n. ShardTail(perm, 0, i, n) ≡ Shard(perm, i, n); the n tail shards of
-// one (perm, from) are pairwise disjoint and their union is exactly
-// perm[from:] (TestShardTailPartition). ShardTail never aliases perm's
-// storage.
-func ShardTail(perm []int, from, i, n int) []int {
-	if n < 1 {
-		panic(fmt.Sprintf("data: ShardTail with %d shards, want ≥ 1", n))
-	}
-	if i < 0 || i >= n {
-		panic(fmt.Sprintf("data: ShardTail index %d out of range [0,%d)", i, n))
-	}
-	if from < 0 {
-		panic(fmt.Sprintf("data: ShardTail cursor %d, want ≥ 0", from))
-	}
-	out := []int{}
-	start := from + ((i-from)%n+n)%n // first g ≥ from with g mod n == i
-	for j := start; j < len(perm); j += n {
-		out = append(out, perm[j])
-	}
-	return out
-}
-
 // ImageConfig parameterizes the synthetic image generator.
 type ImageConfig struct {
 	Classes    int

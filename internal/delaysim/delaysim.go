@@ -275,6 +275,3 @@ func (t *Trainer) Drain() {
 		t.backward()
 	}
 }
-
-// QueueLen reports the number of pending backward passes.
-func (t *Trainer) QueueLen() int { return len(t.queue) }

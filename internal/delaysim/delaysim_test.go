@@ -251,3 +251,6 @@ func TestAdamUnderDelay(t *testing.T) {
 		t.Fatalf("Adam failed to train under delay: acc=%v", acc)
 	}
 }
+
+// QueueLen reports the number of pending backward passes.
+func (t *Trainer) QueueLen() int { return len(t.queue) }

@@ -45,13 +45,6 @@ func (h *LatencyHist) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the lifetime observation count.
-func (h *LatencyHist) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // Mean returns the lifetime mean (0 when empty).
 func (h *LatencyHist) Mean() float64 {
 	h.mu.Lock()
@@ -78,11 +71,6 @@ func (h *LatencyHist) Quantiles(qs ...float64) []float64 {
 		out[i] = quantileSorted(window, q)
 	}
 	return out
-}
-
-// Quantile returns a single quantile over the retained window.
-func (h *LatencyHist) Quantile(q float64) float64 {
-	return h.Quantiles(q)[0]
 }
 
 // quantileSorted interpolates quantile q over an ascending-sorted slice.

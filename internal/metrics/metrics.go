@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -29,9 +28,6 @@ func (m *Meter) Mean() float64 {
 	}
 	return m.sum / m.weight
 }
-
-// Reset clears the meter.
-func (m *Meter) Reset() { m.sum, m.weight = 0, 0 }
 
 // MeanStd returns the sample mean and (n−1) standard deviation of xs.
 func MeanStd(xs []float64) (mean, std float64) {
@@ -215,17 +211,6 @@ func AsciiPlot(series []Series, width, height int, logY bool) string {
 	return b.String()
 }
 
-// ArgMin returns the index of the smallest element.
-func ArgMin(xs []float64) int {
-	bi := 0
-	for i, v := range xs {
-		if v < xs[bi] {
-			bi = i
-		}
-	}
-	return bi
-}
-
 // ArgMax returns the index of the largest element.
 func ArgMax(xs []float64) int {
 	bi := 0
@@ -235,18 +220,4 @@ func ArgMax(xs []float64) int {
 		}
 	}
 	return bi
-}
-
-// Median returns the median of xs (average of middle two for even length).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
 }

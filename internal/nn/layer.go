@@ -85,49 +85,6 @@ func (ReLU) ReleaseCtx(ctx any, ar *tensor.Arena) {
 // Params implements Layer.
 func (ReLU) Params() []*Param { return nil }
 
-// Flatten reshapes [N, ...] to [N, prod(...)].
-type Flatten struct {
-	// ctxFree pools pre-boxed []int shape contexts (see LayerStage.ctxsFree).
-	ctxFree []any
-}
-
-// Name implements Layer.
-func (*Flatten) Name() string { return "flatten" }
-
-// Forward implements Layer; the context is the original shape.
-func (l *Flatten) Forward(x *tensor.Tensor, ar *tensor.Arena, par *tensor.Parallel) (*tensor.Tensor, any) {
-	n := x.Shape[0]
-	f := x.Size() / n
-	y := ar.GetDT(x.DType(), n, f)
-	y.CopyFrom(x)
-	ctxBox, shape := popShapeBox(ar, &l.ctxFree, len(x.Shape))
-	copy(shape, x.Shape)
-	ar.Put(x)
-	return y, ctxBox
-}
-
-// Backward implements Layer.
-func (l *Flatten) Backward(dy *tensor.Tensor, ctx any, ar *tensor.Arena, par *tensor.Parallel) *tensor.Tensor {
-	shape := ctx.([]int)
-	dx := ar.GetDT(dy.DType(), shape...)
-	dx.CopyFrom(dy)
-	ar.Put(dy)
-	if ar != nil {
-		l.ctxFree = append(l.ctxFree, ctx)
-	}
-	return dx
-}
-
-// ReleaseCtx implements Layer.
-func (l *Flatten) ReleaseCtx(ctx any, ar *tensor.Arena) {
-	if ar != nil {
-		l.ctxFree = append(l.ctxFree, ctx)
-	}
-}
-
-// Params implements Layer.
-func (*Flatten) Params() []*Param { return nil }
-
 // MaxPool2D is kxk max pooling with the given stride.
 type MaxPool2D struct {
 	K, Stride int
@@ -226,25 +183,3 @@ func (l *GlobalAvgPool) ReleaseCtx(ctx any, ar *tensor.Arena) {
 
 // Params implements Layer.
 func (*GlobalAvgPool) Params() []*Param { return nil }
-
-// Identity passes its input through unchanged. Useful as a placeholder stage.
-type Identity struct{}
-
-// Name implements Layer.
-func (Identity) Name() string { return "identity" }
-
-// Forward implements Layer.
-func (Identity) Forward(x *tensor.Tensor, _ *tensor.Arena, par *tensor.Parallel) (*tensor.Tensor, any) {
-	return x, nil
-}
-
-// Backward implements Layer.
-func (Identity) Backward(dy *tensor.Tensor, _ any, _ *tensor.Arena, par *tensor.Parallel) *tensor.Tensor {
-	return dy
-}
-
-// ReleaseCtx implements Layer.
-func (Identity) ReleaseCtx(any, *tensor.Arena) {}
-
-// Params implements Layer.
-func (Identity) Params() []*Param { return nil }

@@ -76,26 +76,3 @@ func Accuracy(logits *tensor.Tensor, labels []int) int {
 	}
 	return correct
 }
-
-// MSE computes mean squared error 0.5*mean((y-t)^2) and its gradient; used
-// by regression-style unit tests.
-type MSE struct{}
-
-// Loss returns the loss value and dL/dy for predictions y and targets t.
-func (MSE) Loss(y, t *tensor.Tensor) (float64, *tensor.Tensor) {
-	if y.Size() != t.Size() {
-		panic("nn: MSE size mismatch")
-	}
-	if y.DType() != tensor.F64 || t.DType() != tensor.F64 {
-		panic("nn: MSE is f64-only")
-	}
-	dl := tensor.New(y.Shape...)
-	total := 0.0
-	n := float64(y.Size())
-	for i, v := range y.Data {
-		d := v - t.Data[i]
-		total += 0.5 * d * d
-		dl.Data[i] = d / n
-	}
-	return total / n, dl
-}

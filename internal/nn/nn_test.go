@@ -452,3 +452,100 @@ func TestEvaluate(t *testing.T) {
 		t.Fatalf("Evaluate returned loss=%v acc=%v", loss, acc)
 	}
 }
+
+// Flatten reshapes [N, ...] to [N, prod(...)].
+type Flatten struct {
+	// ctxFree pools pre-boxed []int shape contexts (see LayerStage.ctxsFree).
+	ctxFree []any
+}
+
+// Name implements Layer.
+func (*Flatten) Name() string { return "flatten" }
+
+// Forward implements Layer; the context is the original shape.
+func (l *Flatten) Forward(x *tensor.Tensor, ar *tensor.Arena, par *tensor.Parallel) (*tensor.Tensor, any) {
+	n := x.Shape[0]
+	f := x.Size() / n
+	y := ar.GetDT(x.DType(), n, f)
+	y.CopyFrom(x)
+	ctxBox, shape := popShapeBox(ar, &l.ctxFree, len(x.Shape))
+	copy(shape, x.Shape)
+	ar.Put(x)
+	return y, ctxBox
+}
+
+// Backward implements Layer.
+func (l *Flatten) Backward(dy *tensor.Tensor, ctx any, ar *tensor.Arena, par *tensor.Parallel) *tensor.Tensor {
+	shape := ctx.([]int)
+	dx := ar.GetDT(dy.DType(), shape...)
+	dx.CopyFrom(dy)
+	ar.Put(dy)
+	if ar != nil {
+		l.ctxFree = append(l.ctxFree, ctx)
+	}
+	return dx
+}
+
+// ReleaseCtx implements Layer.
+func (l *Flatten) ReleaseCtx(ctx any, ar *tensor.Arena) {
+	if ar != nil {
+		l.ctxFree = append(l.ctxFree, ctx)
+	}
+}
+
+// Params implements Layer.
+func (*Flatten) Params() []*Param { return nil }
+
+// Identity passes its input through unchanged. Useful as a placeholder stage.
+type Identity struct{}
+
+// Name implements Layer.
+func (Identity) Name() string { return "identity" }
+
+// Forward implements Layer.
+func (Identity) Forward(x *tensor.Tensor, _ *tensor.Arena, par *tensor.Parallel) (*tensor.Tensor, any) {
+	return x, nil
+}
+
+// Backward implements Layer.
+func (Identity) Backward(dy *tensor.Tensor, _ any, _ *tensor.Arena, par *tensor.Parallel) *tensor.Tensor {
+	return dy
+}
+
+// ReleaseCtx implements Layer.
+func (Identity) ReleaseCtx(any, *tensor.Arena) {}
+
+// Params implements Layer.
+func (Identity) Params() []*Param { return nil }
+
+// MSE computes mean squared error 0.5*mean((y-t)^2) and its gradient; used
+// by regression-style unit tests.
+type MSE struct{}
+
+// Loss returns the loss value and dL/dy for predictions y and targets t.
+func (MSE) Loss(y, t *tensor.Tensor) (float64, *tensor.Tensor) {
+	if y.Size() != t.Size() {
+		panic("nn: MSE size mismatch")
+	}
+	if y.DType() != tensor.F64 || t.DType() != tensor.F64 {
+		panic("nn: MSE is f64-only")
+	}
+	dl := tensor.New(y.Shape...)
+	total := 0.0
+	n := float64(y.Size())
+	for i, v := range y.Data {
+		d := v - t.Data[i]
+		total += 0.5 * d * d
+		dl.Data[i] = d / n
+	}
+	return total / n, dl
+}
+
+// NumParams returns the total element count of a parameter list.
+func NumParams(params []*Param) int {
+	n := 0
+	for _, p := range params {
+		n += p.W.Size()
+	}
+	return n
+}

@@ -75,12 +75,3 @@ func (p *Param) SwapData32(data []float32) []float32 {
 
 // ZeroGrad clears the gradient accumulator.
 func (p *Param) ZeroGrad() { p.G.Zero() }
-
-// NumParams returns the total element count of a parameter list.
-func NumParams(params []*Param) int {
-	n := 0
-	for _, p := range params {
-		n += p.W.Size()
-	}
-	return n
-}

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 )
 
@@ -224,13 +223,4 @@ func FileHash(path string) (string, error) {
 		return "", err
 	}
 	return "sha256:" + hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// Sidecar returns the conventional lineage path for an artifact: the
-// artifact's directory joined with LINEAGE_<base>.json.
-func Sidecar(artifact string) string {
-	dir := filepath.Dir(artifact)
-	base := filepath.Base(artifact)
-	ext := filepath.Ext(base)
-	return filepath.Join(dir, "LINEAGE_"+base[:len(base)-len(ext)]+".json")
 }

@@ -158,9 +158,3 @@ func TestVerifyRejectsTamper(t *testing.T) {
 		t.Fatal("Verify accepted a tampered node")
 	}
 }
-
-func TestSidecar(t *testing.T) {
-	if got := Sidecar("/tmp/out/weights.ckpt"); got != "/tmp/out/LINEAGE_weights.json" {
-		t.Fatalf("Sidecar = %q", got)
-	}
-}

@@ -239,12 +239,6 @@ func stepPredict(o *Momentum, w, g, v, prev []float64, form LWPForm, t float64) 
 	}
 }
 
-// Reset clears all optimizer state (velocities and previous weights).
-func (o *Momentum) Reset() {
-	o.vel = make(map[*nn.Param][]float64)
-	o.prevMap = make(map[*nn.Param][]float64)
-}
-
 // LWPForm selects between the two linear weight prediction variants of
 // Section 3.3.
 type LWPForm int

@@ -370,3 +370,9 @@ func TestNesterovCoefficients(t *testing.T) {
 		t.Fatal("Nesterov must coincide with SCD at D=1")
 	}
 }
+
+// Reset clears all optimizer state (velocities and previous weights).
+func (o *Momentum) Reset() {
+	o.vel = make(map[*nn.Param][]float64)
+	o.prevMap = make(map[*nn.Param][]float64)
+}

@@ -1,10 +1,8 @@
 // Package sched provides learning-rate schedules: constant, the multi-step
 // decay of He et al. (2016a) used by the paper's CIFAR/ImageNet experiments,
 // linear warmup (the stabilization the paper's Section 5 discusses for PB
-// training), and cosine decay. Schedules are functions of the update step.
+// training). Schedules are functions of the update step.
 package sched
-
-import "math"
 
 // Schedule maps an update step (0-based) to a learning-rate multiplier times
 // the base rate.
@@ -52,28 +50,3 @@ func (w Warmup) LR(step int) float64 {
 	}
 	return lr
 }
-
-// Cosine decays the base rate to zero over Total steps following a half
-// cosine.
-type Cosine struct {
-	Base  float64
-	Total int
-}
-
-// LR implements Schedule.
-func (c Cosine) LR(step int) float64 {
-	if step >= c.Total {
-		return 0
-	}
-	return c.Base * 0.5 * (1 + math.Cos(math.Pi*float64(step)/float64(c.Total)))
-}
-
-// Scaled wraps a schedule, multiplying every rate by Factor. It applies the
-// Eq. 9 learning-rate scaling to a whole schedule at once.
-type Scaled struct {
-	Inner  Schedule
-	Factor float64
-}
-
-// LR implements Schedule.
-func (s Scaled) LR(step int) float64 { return s.Inner.LR(step) * s.Factor }

@@ -77,3 +77,28 @@ func TestScaled(t *testing.T) {
 		t.Fatalf("scaled LR %v", s.LR(3))
 	}
 }
+
+// Cosine decays the base rate to zero over Total steps following a half
+// cosine.
+type Cosine struct {
+	Base  float64
+	Total int
+}
+
+// LR implements Schedule.
+func (c Cosine) LR(step int) float64 {
+	if step >= c.Total {
+		return 0
+	}
+	return c.Base * 0.5 * (1 + math.Cos(math.Pi*float64(step)/float64(c.Total)))
+}
+
+// Scaled wraps a schedule, multiplying every rate by Factor. It applies the
+// Eq. 9 learning-rate scaling to a whole schedule at once.
+type Scaled struct {
+	Inner  Schedule
+	Factor float64
+}
+
+// LR implements Schedule.
+func (s Scaled) LR(step int) float64 { return s.Inner.LR(step) * s.Factor }

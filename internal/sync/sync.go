@@ -36,8 +36,8 @@ import (
 )
 
 // Replica is the per-replica view a Policy coordinates: stage-indexed access
-// to the parameters and optimizer state of one pipeline. All four core
-// engines satisfy it. Policies are only invoked with every replica quiesced
+// to the parameters and optimizer state of one pipeline. Both engine types,
+// PBTrainer (seq, lockstep) and AsyncPBTrainer (async), satisfy it. Policies are only invoked with every replica quiesced
 // (drained), so plain reads and writes are safe.
 type Replica interface {
 	NumStages() int

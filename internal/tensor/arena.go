@@ -105,9 +105,8 @@ func (a *Arena) Allocs() (news, gets int) {
 	return a.news, a.gets
 }
 
-// SetShape repoints t at a new shape with the same element count. Unlike
-// Reshape it mutates t in place (no view allocation), reusing the Shape
-// slice when possible.
+// SetShape repoints t at a new shape with the same element count, in place
+// (no view allocation), reusing the Shape slice when possible.
 func (t *Tensor) SetShape(shape ...int) {
 	n := 1
 	for _, d := range shape {

@@ -143,11 +143,6 @@ func conv2DForward[T Elem](ar *Arena, x, w, b *Tensor, stride, pad int, colsBuf 
 	return y, cols
 }
 
-// Conv2DForward is Conv2DForwardArena without buffer reuse.
-func Conv2DForward(x, w, b *Tensor, stride, pad int) (y *Tensor, cols []*Tensor) {
-	return Conv2DForwardArena(nil, x, w, b, stride, pad, nil)
-}
-
 // Conv2DBackwardArena computes gradients of a convolution. dy is
 // [N,F,OH,OW]; cols are the im2col matrices from the forward pass. It
 // returns dx (allocated from ar) and accumulates into dw [F,C,KH,KW] and
@@ -187,49 +182,4 @@ func conv2DBackward[T Elem](ar *Arena, dy, w *Tensor, cols []*Tensor, dw, db *Te
 	}
 	ar.Put(dcols)
 	return dx
-}
-
-// Conv2DBackward is Conv2DBackwardArena without buffer reuse.
-func Conv2DBackward(dy, w *Tensor, cols []*Tensor, dw, db *Tensor, xShape []int, stride, pad int) (dx *Tensor) {
-	return Conv2DBackwardArena(nil, dy, w, cols, dw, db, xShape, stride, pad)
-}
-
-// Conv2DNaive is a direct-loop reference convolution used only by tests to
-// validate the im2col implementation.
-func Conv2DNaive(x, w, b *Tensor, stride, pad int) *Tensor {
-	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	f, kh, kw := w.Shape[0], w.Shape[2], w.Shape[3]
-	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(wd, kw, stride, pad)
-	// Accumulation runs in float64 for both dtypes; as a test-only oracle
-	// the naive path trades bit-level dtype purity for one obvious loop.
-	y := NewDT(x.dtype, n, f, oh, ow)
-	for s := 0; s < n; s++ {
-		for ff := 0; ff < f; ff++ {
-			for oi := 0; oi < oh; oi++ {
-				for oj := 0; oj < ow; oj++ {
-					sum := 0.0
-					if b != nil {
-						sum = b.Data[ff]
-					}
-					for ch := 0; ch < c; ch++ {
-						for ki := 0; ki < kh; ki++ {
-							ii := oi*stride + ki - pad
-							if ii < 0 || ii >= h {
-								continue
-							}
-							for kj := 0; kj < kw; kj++ {
-								jj := oj*stride + kj - pad
-								if jj < 0 || jj >= wd {
-									continue
-								}
-								sum += x.At(s, ch, ii, jj) * w.At(ff, ch, ki, kj)
-							}
-						}
-					}
-					y.Set(sum, s, ff, oi, oj)
-				}
-			}
-		}
-	}
-	return y
 }

@@ -28,14 +28,6 @@ func (d DType) String() string {
 	return "f64"
 }
 
-// ElemSize returns the storage size of one element in bytes.
-func (d DType) ElemSize() int {
-	if d == F32 {
-		return 4
-	}
-	return 8
-}
-
 // ParseDType parses the artifact spelling of a dtype ("f64" or "f32"; the
 // empty string means F64).
 func ParseDType(s string) (DType, error) {
@@ -125,22 +117,6 @@ func NewDT(dt DType, shape ...int) *Tensor {
 		return New32(shape...)
 	}
 	return New(shape...)
-}
-
-// FromSlice32 wraps data in an F32 tensor with the given shape. The slice is
-// used directly (not copied, and therefore not necessarily aligned); it
-// panics if the length does not match the shape.
-func FromSlice32(data []float32, shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (want %d)", len(data), shape, n))
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{Shape: s, data32: data, dtype: F32}
 }
 
 // ConvertTo returns t converted to the given dtype: t itself when the dtype

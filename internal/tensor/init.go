@@ -26,15 +26,6 @@ func HeNormal(t *Tensor, fanIn int, rng *rand.Rand) {
 	}
 }
 
-// XavierUniform fills t with values uniform in ±sqrt(6/(fanIn+fanOut)).
-func XavierUniform(t *Tensor, fanIn, fanOut int, rng *rand.Rand) {
-	checkInitF64(t)
-	bound := math.Sqrt(6.0 / float64(fanIn+fanOut))
-	for i := range t.Data {
-		t.Data[i] = (rng.Float64()*2 - 1) * bound
-	}
-}
-
 // Normal fills t with zero-mean Gaussian values of standard deviation std.
 func Normal(t *Tensor, std float64, rng *rand.Rand) {
 	checkInitF64(t)

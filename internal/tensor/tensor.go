@@ -77,12 +77,6 @@ func (t *Tensor) Size() int {
 	return len(t.Data)
 }
 
-// NumDims returns the number of dimensions.
-func (t *Tensor) NumDims() int { return len(t.Shape) }
-
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // SameShape reports whether t and o have identical shapes.
 func (t *Tensor) SameShape(o *Tensor) bool {
 	if len(t.Shape) != len(o.Shape) {
@@ -106,21 +100,6 @@ func (t *Tensor) Clone() *Tensor {
 // CopyFrom copies o's data into t. Shapes must have equal sizes and dtypes
 // must match.
 func (t *Tensor) CopyFrom(o *Tensor) { zip("CopyFrom", t, o, copyInto[float32], copyInto[float64]) }
-
-// Reshape returns a view of t with a new shape sharing the same data.
-// It panics if the element counts differ.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != t.Size() {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.Shape, shape))
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{Shape: s, Data: t.Data, data32: t.data32, dtype: t.dtype}
-}
 
 // Zero sets all elements to zero. Only one backing slice is non-nil, and
 // clearing a nil slice is a no-op, so no dtype switch is needed.
@@ -492,37 +471,6 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
 	checkDst("MatMulTransBInto", dst, m, n)
 	gemmRef("MatMulTransBInto", dst, a, b, m, k, n, matMulTransBSlices[float32], matMulTransBSlices[float64])
-}
-
-// MatMul computes c = a·b for 2-D tensors a [m,k] and b [k,n], returning
-// a new [m,n] tensor.
-func MatMul(a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v x %v", a.Shape, b.Shape))
-	}
-	c := NewDT(a.dtype, a.Shape[0], b.Shape[1])
-	MatMulInto(c, a, b)
-	return c
-}
-
-// MatMulTransA computes c = aᵀ·b for a [k,m] and b [k,n] → [m,n].
-func MatMulTransA(a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[0] != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: MatMulTransA shape mismatch %v x %v", a.Shape, b.Shape))
-	}
-	c := NewDT(a.dtype, a.Shape[1], b.Shape[1])
-	MatMulTransAInto(c, a, b)
-	return c
-}
-
-// MatMulTransB computes c = a·bᵀ for a [m,k] and b [n,k] → [m,n].
-func MatMulTransB(a, b *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || a.Shape[1] != b.Shape[1] {
-		panic(fmt.Sprintf("tensor: MatMulTransB shape mismatch %v x %v", a.Shape, b.Shape))
-	}
-	c := NewDT(a.dtype, a.Shape[0], b.Shape[0])
-	MatMulTransBInto(c, a, b)
-	return c
 }
 
 // Transpose returns a new tensor that is the transpose of a 2-D tensor.

@@ -61,11 +61,10 @@ func defaultOptions() options {
 	return options{engine: "seq", ref: DefaultRef, seed: 1, evalBatch: 32}
 }
 
-// WithEngine selects the pipelined-backpropagation runtime by registry name
-// (core.EngineNames lists them; "seq", "lockstep" and "async" are built
-// in). The empty string keeps the sequential
-// reference. Unknown names surface as an error from Fit, when the engine is
-// constructed.
+// WithEngine selects the pipelined-backpropagation runtime by name: "seq",
+// "lockstep" or "async" (core.EngineNames). The empty string keeps the
+// sequential reference. Unknown names surface as an error from Fit, when the
+// engine is constructed.
 func WithEngine(name string) Option {
 	return func(o *options) { o.engine = name }
 }
