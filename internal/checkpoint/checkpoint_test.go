@@ -63,7 +63,7 @@ func TestRoundTripVelocities(t *testing.T) {
 	opt := optim.NewMomentum(0.1, 0.9)
 	// Build some velocity state.
 	for _, p := range net.Params() {
-		p.G.Fill(0.5)
+		p.Grad().Fill(0.5)
 	}
 	opt.Step(net.Params())
 	step := 1

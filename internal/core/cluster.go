@@ -746,7 +746,14 @@ func newGradReducer(engines []replicaView) *gradReducer {
 
 // hook returns the stageState.reduce callback for replica r.
 func (rd *gradReducer) hook(r int) func(stage int, params []*nn.Param) {
-	return func(stage int, _ []*nn.Param) { rd.reduce(r, stage) }
+	return func(stage int, params []*nn.Param) {
+		// Materialise on the replica's own goroutine: the reducer reads
+		// every contributor's G and must never form a peer's pending one.
+		for _, p := range params {
+			p.Grad()
+		}
+		rd.reduce(r, stage)
+	}
 }
 
 // realign raises every replica's update target to the maximum — called right
@@ -820,10 +827,10 @@ func (rd *gradReducer) average(stage, u int) {
 	inv := 1.0 / float64(n)
 	base := rd.params[stage][first]
 	for j := range base {
-		dst := base[j].G.Data
+		dst := base[j].Grad().Data
 		for r := first + 1; r < len(rd.counts); r++ {
 			if rd.counts[r] > u {
-				g := rd.params[stage][r][j].G.Data
+				g := rd.params[stage][r][j].Grad().Data
 				for i := range dst {
 					dst[i] += g[i]
 				}
@@ -834,7 +841,7 @@ func (rd *gradReducer) average(stage, u int) {
 		}
 		for r := first + 1; r < len(rd.counts); r++ {
 			if rd.counts[r] > u {
-				copy(rd.params[stage][r][j].G.Data, dst)
+				copy(rd.params[stage][r][j].Grad().Data, dst)
 			}
 		}
 	}

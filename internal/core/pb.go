@@ -262,10 +262,16 @@ func takeInput(free *[]*tensor.Tensor, dt tensor.DType, shape []int) *tensor.Ten
 	return tensor.NewDT(dt, shape...)
 }
 
-// recycleInput stores a retired input tensor for reuse, dropping it when the
-// free list is full.
-func recycleInput(free *[]*tensor.Tensor, x *tensor.Tensor) {
-	if x == nil || len(*free) >= maxFreeInputs {
+// recycleInput stores a retired input tensor for reuse. When the free list
+// is full it goes back to ar, stage 0's arena, as in the async engine: a
+// refill after a drain then finds the input-gradient buffers its first
+// backwards need, even when stage 0 holds its inputs as contexts.
+func recycleInput(free *[]*tensor.Tensor, x *tensor.Tensor, ar *tensor.Arena) {
+	if x == nil {
+		return
+	}
+	if len(*free) >= maxFreeInputs {
+		ar.Put(x)
 		return
 	}
 	*free = append(*free, x)
@@ -348,7 +354,7 @@ func (t *PBTrainer) backwardStage(i int) {
 	if i == 0 {
 		t.outstanding--
 		t.completed++
-		recycleInput(&t.inputFree, dx.X)
+		recycleInput(&t.inputFree, dx.X, st.arena)
 	} else {
 		t.nextBwd[i-1] = dx
 	}

@@ -40,7 +40,7 @@ func TestPredictionDroppedAtQuiescence(t *testing.T) {
 	train, _ := data.GaussianBlobs(6, 3, 12, 0, 1, 0.5, 62)
 	gradsZero := func(e replicaView, s int) bool {
 		for _, p := range e.StageParams(s) {
-			for _, g := range p.G.Data {
+			for _, g := range p.Grad().Data {
 				if g != 0 {
 					return false
 				}

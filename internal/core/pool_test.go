@@ -147,8 +147,7 @@ func TestLayerSteadyStateAllocs(t *testing.T) {
 			layer := c.layer
 			if dt == tensor.F32 {
 				for _, p := range layer.Params() {
-					p.W = p.W.ConvertTo(tensor.F32)
-					p.G = tensor.NewDT(tensor.F32, p.G.Shape...)
+					p.ConvertTo(tensor.F32)
 				}
 			}
 			for _, p := range []*tensor.Parallel{nil, par} {
@@ -174,13 +173,15 @@ func TestLayerSteadyStateAllocs(t *testing.T) {
 }
 
 // TestEngineSteadyStateAllocs locks in the pooled per-sample allocation
-// budget of the full engines on the RN20-mini pipeline. The unpooled
-// engine needs thousands of allocations per sample; the pooled ones need a
-// small constant (inflight/result wrappers and channel traffic), which this
-// test keeps from regressing. The paper's best mitigation has the same
-// budget as plain PB: its weight prediction lives in the gradient buffers.
-// It also asserts that no stage arena misses over the measured window,
-// which is exact where the budget is not.
+// budget of the full engines on the RN20-mini pipeline and on MLP12. The
+// unpooled engine needs thousands of allocations per sample; the pooled ones
+// need a small constant (inflight/result wrappers and channel traffic),
+// which this test keeps from regressing. The paper's best mitigation has the
+// same budget as plain PB: its weight prediction lives in the gradient
+// buffers. On MLP12 every dense weight gradient is a pending rank-1 one
+// whose factors the parameter owns, so the same budget also proves they are
+// not allocated per sample. It also asserts that no stage arena misses over
+// the measured window, which is exact where the budget is not.
 //
 // The body runs at GOMAXPROCS=1. With a second core the async stages run
 // in parallel and buffers migrate between per-stage arenas depending on
@@ -193,29 +194,38 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	imgs := data.CIFAR10Like(8, 32, 0, 1)
-	train, _ := data.GenerateImages(imgs)
-	shape := append([]int{1}, train.Shape...)
+	images, _ := data.GenerateImages(imgs)
+	blobs, _ := data.GaussianBlobs(64, 10, 32, 0, 3, 1, 1)
 	for _, tc := range []struct {
+		model   string
 		kind    string
 		workers int
 		budget  float64
 		mit     Mitigation
 	}{
-		{"seq", 0, 15, None},
-		{"async", 0, 30, None}, // channel hops and runtime scheduling included
+		{"rn20", "seq", 0, 15, None},
+		{"rn20", "async", 0, 30, None}, // channel hops and runtime scheduling included
 		// Kernel-worker groups must not change the budget: dispatch reuses
 		// pre-spawned workers and a shared job slot (tensor.Parallel).
-		{"seq", 4, 15, None},
-		{"async", 40, 30, None},
-		{"seq", 0, 15, LWPvDSCD},
-		{"async", 0, 30, LWPvDSCD},
+		{"rn20", "seq", 4, 15, None},
+		{"rn20", "async", 40, 30, None},
+		{"rn20", "seq", 0, 15, LWPvDSCD},
+		{"rn20", "async", 0, 30, LWPvDSCD},
 		// lockstep is seq with its sweeps fanned out to persistent lanes:
 		// same budget, so no per-step goroutine or closure.
-		{"lockstep", 0, 15, None},
-		{"lockstep", 40, 15, None},
-		{"lockstep", 0, 15, LWPvDSCD},
+		{"rn20", "lockstep", 0, 15, None},
+		{"rn20", "lockstep", 40, 15, None},
+		{"rn20", "lockstep", 0, 15, LWPvDSCD},
+		{"mlp12", "seq", 0, 15, None},
+		{"mlp12", "async", 0, 30, None},
+		{"mlp12", "seq", 0, 15, LWPvDSCD},
+		{"mlp12", "async", 0, 30, LWPvDSCD},
 	} {
-		net := models.ResNet(models.MiniResNet(20, 4, 8, 10, 1))
+		net, train := models.ResNet(models.MiniResNet(20, 4, 8, 10, 1)), images
+		if tc.model == "mlp12" {
+			net, train = models.DeepMLP(64, 128, 12, 10, 1), blobs
+		}
+		shape := append([]int{1}, train.Shape...)
 		cfg := ScaledConfig(0.05, 0.9, 32, 1)
 		cfg.Workers = tc.workers
 		cfg.Mitigation = tc.mit
@@ -240,7 +250,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		}
 		before := arenaMisses(t, eng)
 		if allocs := testing.AllocsPerRun(100, submit); allocs > tc.budget {
-			t.Errorf("%s engine (workers=%d, %s): %v allocs per sample, budget %v", tc.kind, tc.workers, tc.mit.Name(), allocs, tc.budget)
+			t.Errorf("%s %s engine (workers=%d, %s): %v allocs per sample, budget %v", tc.model, tc.kind, tc.workers, tc.mit.Name(), allocs, tc.budget)
 		}
 		if tc.kind == "async" {
 			// The stage goroutines own the arena counters: read them only
@@ -249,7 +259,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 			drain(eng)
 		}
 		if misses := arenaMisses(t, eng) - before; misses != 0 {
-			t.Errorf("%s engine (workers=%d, %s): %d stage-arena misses over the measured window, want 0", tc.kind, tc.workers, tc.mit.Name(), misses)
+			t.Errorf("%s %s engine (workers=%d, %s): %d stage-arena misses over the measured window, want 0", tc.model, tc.kind, tc.workers, tc.mit.Name(), misses)
 		}
 		eng.Close()
 	}

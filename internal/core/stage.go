@@ -90,8 +90,8 @@ func (st *stageState) fused() bool {
 	return st.fwdH > 0 && !st.mit.WeightStash && len(st.params) > 0
 }
 
-// dropPrediction zeroes G when it holds ŵ, returning it to a gradient
-// accumulator. The stage calls it before every backward; the engines call it
+// dropPrediction returns G to a (pending-zero) gradient accumulator when it
+// holds ŵ. The stage calls it before every backward; the engines call it
 // wherever weights or velocities may change outside the stage loop (Drain,
 // SetStageUpdates, cluster sync), so the next forward predicts afresh.
 func (st *stageState) dropPrediction() {
@@ -99,7 +99,7 @@ func (st *stageState) dropPrediction() {
 		return
 	}
 	for _, p := range st.params {
-		p.G.Zero()
+		p.ZeroGrad()
 	}
 	st.predicted = false
 }
@@ -137,12 +137,12 @@ func (st *stageState) runForward(in *inflight) *nn.Packet {
 	case st.fused():
 		if !st.predicted {
 			for _, p := range st.params {
-				st.opt.PredictInto(p.G.Data, p, st.fwdForm, st.fwdH)
+				st.opt.PredictInto(p.GradForOverwrite().Data, p, st.fwdForm, st.fwdH)
 			}
 			st.predicted = true
 		}
 		for j, p := range st.params {
-			st.swap[j] = p.SwapData(p.G.Data)
+			st.swap[j] = p.SwapData(p.Grad().Data)
 		}
 	case st.fwdH > 0 && len(st.params) > 0:
 		// Prediction with stashing: the sample keeps its own ŵ.

@@ -61,7 +61,7 @@ func TestResNetGradientFlowsToStem(t *testing.T) {
 	net.ZeroGrad()
 	net.LossAndGrad(x, []int{2})
 	stem := net.Params()[0]
-	if stem.G.MaxAbs() == 0 {
+	if stem.Grad().MaxAbs() == 0 {
 		t.Fatal("no gradient reached the stem conv — skip plumbing broken")
 	}
 }

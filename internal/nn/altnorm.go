@@ -94,6 +94,7 @@ func (f *FRN) Backward(dz *tensor.Tensor, ctx any, ar *tensor.Arena, par *tensor
 	dx := ar.Get(cc.xShape...)
 	scratch := ar.Get(m)
 	dxh := scratch.Data
+	gg, bg, tg := f.Gamma.Grad().Data, f.Beta.Grad().Data, f.Tau.Grad().Data
 	for s := 0; s < n; s++ {
 		for ch := 0; ch < c; ch++ {
 			base := (s*c + ch) * m
@@ -108,12 +109,12 @@ func (f *FRN) Backward(dz *tensor.Tensor, ctx any, ar *tensor.Arena, par *tensor
 			for k := 0; k < m; k++ {
 				d := dz.Data[base+k]
 				if cc.y.Data[base+k] > tau {
-					f.Gamma.G.Data[ch] += d * cc.xhat.Data[base+k]
-					f.Beta.G.Data[ch] += d
+					gg[ch] += d * cc.xhat.Data[base+k]
+					bg[ch] += d
 					dxh[k] = d * g
 					sumDxhXh += dxh[k] * cc.xhat.Data[base+k]
 				} else {
-					f.Tau.G.Data[ch] += d
+					tg[ch] += d
 				}
 			}
 			meanDxhXh := sumDxhXh / float64(m)
@@ -222,12 +223,13 @@ func (c *WSConv2D) Backward(dy *tensor.Tensor, ctx any, ar *tensor.Arena, par *t
 	inner := cc.convCtx.(*convCtx)
 	var db *tensor.Tensor
 	if c.Bias != nil {
-		db = c.Bias.G
+		db = c.Bias.Grad()
 	}
 	dWhat := ar.GetZeroed(c.OutC, c.InC, c.K, c.K)
 	dx := par.ConvBackward(ar, dy, cc.what, inner.cols, dWhat, db, inner.xShape, c.Stride, c.Pad)
 	// Chain through the standardization: like LayerNorm over each filter.
 	fan := c.InC * c.K * c.K
+	rg := c.Raw.Grad().Data
 	for f := 0; f < c.OutC; f++ {
 		dseg := dWhat.Data[f*fan : (f+1)*fan]
 		wseg := cc.what.Data[f*fan : (f+1)*fan]
@@ -239,7 +241,7 @@ func (c *WSConv2D) Backward(dy *tensor.Tensor, ctx any, ar *tensor.Arena, par *t
 		meanD := sumD / float64(fan)
 		meanDW := sumDW / float64(fan)
 		is := cc.invStd[f]
-		gseg := c.Raw.G.Data[f*fan : (f+1)*fan]
+		gseg := rg[f*fan : (f+1)*fan]
 		for i := range dseg {
 			gseg[i] += is * (dseg[i] - meanD - wseg[i]*meanDW)
 		}

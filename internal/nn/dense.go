@@ -74,13 +74,18 @@ func sumRowsInto[T tensor.Elem](g, dy []T, n int) {
 // Backward implements Layer.
 func (d *Dense) Backward(dy *tensor.Tensor, ctx any, ar *tensor.Arena, par *tensor.Parallel) *tensor.Tensor {
 	x := ctx.(*tensor.Tensor)
-	// dW += dyᵀ·x → [Out, In], accumulated directly into the gradient.
-	par.MatMulTransAAccInto(d.Weight.G, dy, x)
+	// dW += dyᵀ·x → [Out, In], accumulated directly into the gradient. At
+	// batch one onto a zero G that is the outer product dy ⊗ x: the weight
+	// keeps the two factors, and the optimizer forms each element inside
+	// its update instead of this layer running a GEMM into G.
+	if dy.Shape[0] != 1 || !d.Weight.deferOuter(dy, x) {
+		par.MatMulTransAAccInto(d.Weight.Grad(), dy, x)
+	}
 	if d.Bias != nil {
 		if dy.DType() == tensor.F32 {
-			sumRowsInto(d.Bias.G.Data32(), dy.Data32(), dy.Shape[0])
+			sumRowsInto(d.Bias.Grad().Data32(), dy.Data32(), dy.Shape[0])
 		} else {
-			sumRowsInto(d.Bias.G.Data, dy.Data, dy.Shape[0])
+			sumRowsInto(d.Bias.Grad().Data, dy.Data, dy.Shape[0])
 		}
 	}
 	// dx = dy·W → [N, In]
@@ -158,9 +163,9 @@ func (c *Conv2D) Backward(dy *tensor.Tensor, ctx any, ar *tensor.Arena, par *ten
 	cc := ctx.(*convCtx)
 	var db *tensor.Tensor
 	if c.Bias != nil {
-		db = c.Bias.G
+		db = c.Bias.Grad()
 	}
-	dx := par.ConvBackward(ar, dy, c.Weight.W, cc.cols, c.Weight.G, db, cc.xShape, c.Stride, c.Pad)
+	dx := par.ConvBackward(ar, dy, c.Weight.W, cc.cols, c.Weight.Grad(), db, cc.xShape, c.Stride, c.Pad)
 	ar.Put(dy)
 	ar.Put(cc.cols...)
 	if ar != nil {

@@ -105,8 +105,8 @@ func TestNestedSkipStacks(t *testing.T) {
 			lm := loss()
 			p.W.Data[i] = orig
 			num := (lp - lm) / (2 * eps)
-			if math.Abs(num-p.G.Data[i]) > 1e-5*(1+math.Abs(num)) {
-				t.Fatalf("%s[%d]: %v vs %v", p.Name, i, p.G.Data[i], num)
+			if math.Abs(num-p.Grad().Data[i]) > 1e-5*(1+math.Abs(num)) {
+				t.Fatalf("%s[%d]: %v vs %v", p.Name, i, p.Grad().Data[i], num)
 			}
 		}
 	}

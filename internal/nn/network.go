@@ -43,11 +43,7 @@ func (n *Network) DType() tensor.DType {
 // model is the deterministic rounding of its f64 twin (DESIGN.md §15).
 func (n *Network) ConvertTo(dt tensor.DType) {
 	for _, p := range n.Params() {
-		if p.W.DType() == dt {
-			continue
-		}
-		p.W = p.W.ConvertTo(dt)
-		p.G = tensor.NewDT(dt, p.G.Shape...)
+		p.ConvertTo(dt)
 	}
 }
 

@@ -48,7 +48,7 @@ func gradCheckLayer(t *testing.T, l Layer, x *tensor.Tensor, tol float64, rng *r
 	}
 	checkTensor(l.Name()+".x", x, dx, 15)
 	for _, p := range l.Params() {
-		checkTensor(p.Name, p.W, p.G, 10)
+		checkTensor(p.Name, p.W, p.Grad(), 10)
 	}
 }
 
@@ -330,8 +330,8 @@ func TestResidualNetworkGradients(t *testing.T) {
 			lm := loss()
 			p.W.Data[i] = orig
 			num := (lp - lm) / (2 * eps)
-			if math.Abs(num-p.G.Data[i]) > 1e-4*(1+math.Abs(num)) {
-				t.Fatalf("%s[%d]: analytic %v vs numeric %v", p.Name, i, p.G.Data[i], num)
+			if math.Abs(num-p.Grad().Data[i]) > 1e-4*(1+math.Abs(num)) {
+				t.Fatalf("%s[%d]: analytic %v vs numeric %v", p.Name, i, p.Grad().Data[i], num)
 			}
 		}
 	}
@@ -426,7 +426,7 @@ func TestMultipleInFlightContexts(t *testing.T) {
 	dy.Fill(1)
 	d.Backward(dy, c2, nil, nil)
 	d.Backward(dy, c1, nil, nil)
-	combined := d.Weight.G.Clone()
+	combined := d.Weight.Grad().Clone()
 
 	d.Weight.ZeroGrad()
 	d.Bias.ZeroGrad()
@@ -434,7 +434,7 @@ func TestMultipleInFlightContexts(t *testing.T) {
 	d.Backward(dy, c1b, nil, nil)
 	_, c2b := d.Forward(x2, nil, nil)
 	d.Backward(dy, c2b, nil, nil)
-	if !combined.AllClose(d.Weight.G, 1e-12) {
+	if !combined.AllClose(d.Weight.Grad(), 1e-12) {
 		t.Fatal("interleaved contexts corrupt gradients")
 	}
 	_ = y1
@@ -548,4 +548,60 @@ func NumParams(params []*Param) int {
 		n += p.W.Size()
 	}
 	return n
+}
+
+// TestDenseDefersOnlyBatchOneOntoZeroGrad pins which gradient path runs.
+// Only a batch-one dense backward onto a zero G keeps the rank-1 gradient
+// pending. A batch of two, a second sample into the same G, and any conv
+// backward accumulate into stored G. Each path reads back the bits of the
+// GEMM onto a cleared G.
+func TestDenseDefersOnlyBatchOneOntoZeroGrad(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	d := NewDense("fc", 5, 3, false, rng)
+	x1, x2 := tensor.New(1, 5), tensor.New(2, 5)
+	dy1, dy2 := tensor.New(1, 3), tensor.New(2, 3)
+	for _, v := range []*tensor.Tensor{x1, x2, dy1, dy2} {
+		tensor.Normal(v, 1, rng)
+	}
+	x1.Data[0], dy1.Data[1] = math.Copysign(0, -1), 1e-200
+	x1.Data[2] = -1e-200
+	gemm := func(pairs ...*tensor.Tensor) []float64 {
+		g := tensor.New(3, 5)
+		for i := 0; i < len(pairs); i += 2 {
+			tensor.MatMulTransAAccInto(g, pairs[i], pairs[i+1])
+		}
+		return g.Data
+	}
+	for _, c := range []struct {
+		name    string
+		pairs   []*tensor.Tensor // (dy, x) per backward, in order
+		pending bool
+	}{
+		{"N=1", []*tensor.Tensor{dy1, x1}, true},
+		{"N=2", []*tensor.Tensor{dy2, x2}, false},
+		{"N=1 twice", []*tensor.Tensor{dy1, x1, dy1, x1}, false},
+	} {
+		d.Weight.ZeroGrad()
+		for i := 0; i < len(c.pairs); i += 2 {
+			d.Backward(c.pairs[i].Clone(), c.pairs[i+1].Clone(), nil, nil)
+		}
+		if _, _, ok := d.Weight.PendingOuter(); ok != c.pending {
+			t.Errorf("%s: pending rank-1 gradient %v, want %v", c.name, ok, c.pending)
+		}
+		want := gemm(c.pairs...)
+		for i, g := range d.Weight.Grad().Data {
+			if math.Float64bits(g) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: G[%d] = %v, GEMM %v", c.name, i, g, want[i])
+			}
+		}
+	}
+	conv := NewConv2D("cv", 2, 2, 3, 1, 1, true, rng)
+	x := tensor.New(1, 2, 4, 4)
+	tensor.Normal(x, 1, rng)
+	y, ctx := conv.Forward(x, nil, nil)
+	conv.Weight.ZeroGrad()
+	conv.Backward(y, ctx, nil, nil)
+	if _, _, ok := conv.Weight.PendingOuter(); ok {
+		t.Error("conv backward left its weight gradient pending")
+	}
 }

@@ -149,7 +149,7 @@ func groupNormBackward[T tensor.Elem](g *GroupNorm, dy *tensor.Tensor, cc *group
 	dx := ar.GetDT(dy.DType(), cc.xShape...)
 	dyd, xhd, dxd := tensor.DataOf[T](dy), tensor.DataOf[T](cc.xhat), tensor.DataOf[T](dx)
 	gw := tensor.DataOf[T](g.Gamma.W)
-	gg, bg := tensor.DataOf[T](g.Gamma.G), tensor.DataOf[T](g.Beta.G)
+	gg, bg := tensor.DataOf[T](g.Gamma.Grad()), tensor.DataOf[T](g.Beta.Grad())
 	for s := 0; s < n; s++ {
 		for gr := 0; gr < g.Groups; gr++ {
 			base := (s*c + gr*cg) * h * w
@@ -283,7 +283,7 @@ func layerNormBackward[T tensor.Elem](l *LayerNorm, dy *tensor.Tensor, cc *layer
 	dx := ar.GetDT(dy.DType(), n, f)
 	dyd, xhd, dxd := tensor.DataOf[T](dy), tensor.DataOf[T](cc.xhat), tensor.DataOf[T](dx)
 	gw := tensor.DataOf[T](l.Gamma.W)
-	gg, bg := tensor.DataOf[T](l.Gamma.G), tensor.DataOf[T](l.Beta.G)
+	gg, bg := tensor.DataOf[T](l.Gamma.Grad()), tensor.DataOf[T](l.Beta.Grad())
 	for s := 0; s < n; s++ {
 		sumDxh, sumDxhXh := 0.0, 0.0
 		for i := 0; i < f; i++ {
@@ -422,6 +422,7 @@ func (b *BatchNorm2D) Backward(dy *tensor.Tensor, ctx any, ar *tensor.Arena, par
 	n, c, h, w := cc.xShape[0], cc.xShape[1], cc.xShape[2], cc.xShape[3]
 	m := n * h * w
 	dx := ar.Get(cc.xShape...)
+	gg, bg := b.Gamma.Grad().Data, b.Beta.Grad().Data
 	for ch := 0; ch < c; ch++ {
 		sumDxh, sumDxhXh := 0.0, 0.0
 		for s := 0; s < n; s++ {
@@ -429,8 +430,8 @@ func (b *BatchNorm2D) Backward(dy *tensor.Tensor, ctx any, ar *tensor.Arena, par
 			for k := 0; k < h*w; k++ {
 				d := dy.Data[base+k]
 				xh := cc.xhat.Data[base+k]
-				b.Gamma.G.Data[ch] += d * xh
-				b.Beta.G.Data[ch] += d
+				gg[ch] += d * xh
+				bg[ch] += d
 				dxh := d * b.Gamma.W.Data[ch]
 				sumDxh += dxh
 				sumDxhXh += dxh * xh

@@ -7,18 +7,39 @@ package nn
 
 import "repro/internal/tensor"
 
-// Param is a learnable parameter with its gradient accumulator.
-// Backward passes accumulate into G; optimizers read G and must zero it.
+// Param is a learnable parameter with its gradient accumulator G.
+//
+// G is reached only through methods, because it is in one of three states:
+// stored (its storage holds the value), pending zero, or pending 0 + a⊗b —
+// a rank-1 gradient whose factors the param owns (see PendingOuter). Backward
+// passes accumulate into Grad(), which first materialises a pending value.
+// A dense layer at batch one instead hands its outer product dy ⊗ x to a
+// pending-zero G (deferOuter), and the optimizers form each element inside
+// their update. An optimizer step leaves G pending zero, or holding ŵ after
+// a fused step-and-predict; ZeroGrad makes it pending zero in O(1).
 type Param struct {
 	Name string
 	W    *tensor.Tensor
-	G    *tensor.Tensor
+	g    *tensor.Tensor
+	gst  gradState
+	// outA and outB hold the factors of a pending rank-1 G. They are sized
+	// on the first deferral and reused for every later one.
+	outA, outB *tensor.Tensor
 }
+
+// gradState says where G's value lives.
+type gradState uint8
+
+const (
+	gradStored gradState = iota // g's storage holds the value
+	gradZero                    // logically zero; g's storage is stale
+	gradOuter                   // logically 0 + outA⊗outB; g's storage is stale
+)
 
 // NewParam allocates a parameter and matching zero gradient (same dtype as
 // the weights).
 func NewParam(name string, w *tensor.Tensor) *Param {
-	return &Param{Name: name, W: w, G: tensor.NewDT(w.DType(), w.Shape...)}
+	return &Param{Name: name, W: w, g: tensor.NewDT(w.DType(), w.Shape...)}
 }
 
 // DType reports the parameter's element type.
@@ -73,5 +94,100 @@ func (p *Param) SwapData32(data []float32) []float32 {
 	return old
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() { p.G.Zero() }
+// ConvertTo converts the parameter to dt in place: the weights by direct
+// value cast, G to a fresh zero accumulator at the new dtype. A no-op when
+// the dtype already matches.
+func (p *Param) ConvertTo(dt tensor.DType) {
+	if p.W.DType() == dt {
+		return
+	}
+	p.W = p.W.ConvertTo(dt)
+	p.g = tensor.NewDT(dt, p.g.Shape...)
+	p.gst = gradStored
+	p.outA, p.outB = nil, nil
+}
+
+// ZeroGrad clears the gradient accumulator in O(1): G becomes pending zero,
+// and the next Grad clears the storage only if someone reads it.
+func (p *Param) ZeroGrad() { p.gst = gradZero }
+
+// Grad materialises G and returns its storage, which then holds the value.
+// Every reader and accumulator of G goes through here (or PendingOuter).
+// On a stored G it only reads, so peers may call it on a G they share under
+// a lock once its owner has materialised it.
+func (p *Param) Grad() *tensor.Tensor {
+	if p.gst != gradStored {
+		p.materialise()
+	}
+	return p.g
+}
+
+func (p *Param) materialise() {
+	switch p.gst {
+	case gradZero:
+		p.g.Zero()
+	case gradOuter:
+		if p.g.DType() == tensor.F32 {
+			outerInto(p.g.Data32(), p.outA.Data32(), p.outB.Data32())
+		} else {
+			outerInto(p.g.Data, p.outA.Data, p.outB.Data)
+		}
+	}
+	p.gst = gradStored
+}
+
+// GradForOverwrite returns G's storage for a caller that writes every
+// element of it (weight prediction into G): a pending value is discarded
+// rather than materialised, so no clear or outer product runs first.
+func (p *Param) GradForOverwrite() *tensor.Tensor {
+	p.gst = gradStored
+	return p.g
+}
+
+// PendingOuter reports whether G is pending 0 + a⊗b and returns the factors:
+// a is the row vector (W's first dimension), b the column vector (the rest),
+// both shaped [1, n]. An optimizer that consumes them forms element (r, c)
+// as Outer(a[r], b[c]) and must then leave G pending zero (ZeroGrad) or
+// overwrite it (GradForOverwrite).
+func (p *Param) PendingOuter() (a, b *tensor.Tensor, ok bool) {
+	if p.gst != gradOuter {
+		return nil, nil, false
+	}
+	return p.outA, p.outB, true
+}
+
+// deferOuter makes a pending-zero G pending dy ⊗ x for dy [1, rows] and
+// x [1, cols] matching a [rows, cols] weight: the batch-one weight gradient
+// of a dense layer, without the GEMM and without touching G's storage. It
+// returns false, changing nothing, when G is not pending zero.
+func (p *Param) deferOuter(dy, x *tensor.Tensor) bool {
+	if p.gst != gradZero {
+		return false
+	}
+	if p.outA == nil {
+		p.outA = tensor.NewDT(dy.DType(), dy.Shape...)
+		p.outB = tensor.NewDT(x.DType(), x.Shape...)
+	}
+	p.outA.CopyFrom(dy)
+	p.outB.CopyFrom(x)
+	p.gst = gradOuter
+	return true
+}
+
+// Outer is element (r, c) of a pending rank-1 gradient, formed from a[r]
+// and b[c]. Its literal 0 + is the GEMM's accumulation onto a cleared G at
+// batch one, kept so that the sign of a zero product — and the FMA
+// contraction of GOAMD64=v3 builds — match MatMulTransAAccInto bit for bit.
+// The materialiser and the optimizers' fused loops all call it (it inlines).
+func Outer[T tensor.Elem](a, b T) T { return 0 + a*b }
+
+// outerInto writes g = 0 + a⊗b, row-major [len(a), len(b)].
+func outerInto[T tensor.Elem](g, a, b []T) {
+	n := len(b)
+	for r, ar := range a {
+		row := g[r*n : (r+1)*n]
+		for c, bc := range b {
+			row[c] = Outer(ar, bc)
+		}
+	}
+}

@@ -231,8 +231,7 @@ func goldenParams(rng *rand.Rand, dt tensor.DType, ps []*nn.Param) {
 		for i := range p.W.Data {
 			p.W.Data[i] += 0.25 * rng.NormFloat64()
 		}
-		p.W = p.W.ConvertTo(dt)
-		p.G = tensor.NewDT(dt, p.G.Shape...)
+		p.ConvertTo(dt)
 	}
 }
 
@@ -348,14 +347,14 @@ func goldenHashes(dt tensor.DType) []golden {
 	gy, gctx := gn.Forward(gx, nil, nil)
 	g.tensors("GroupNorm.Forward", gy)
 	gdx := gn.Backward(goldenRand(rng, dt, gy.Shape...), gctx, nil, nil)
-	g.tensors("GroupNorm.Backward", gdx, gn.Gamma.G, gn.Beta.G)
+	g.tensors("GroupNorm.Backward", gdx, gn.Gamma.Grad(), gn.Beta.Grad())
 	ln := nn.NewLayerNorm("ln", 11)
 	goldenParams(rng, dt, ln.Params())
 	lx := goldenRand(rng, dt, 3, 11)
 	ly, lctx := ln.Forward(lx, nil, nil)
 	g.tensors("LayerNorm.Forward", ly)
 	ldx := ln.Backward(goldenRand(rng, dt, ly.Shape...), lctx, nil, nil)
-	g.tensors("LayerNorm.Backward", ldx, ln.Gamma.G, ln.Beta.G)
+	g.tensors("LayerNorm.Backward", ldx, ln.Gamma.Grad(), ln.Beta.Grad())
 
 	// The other layers whose bodies carry per-dtype code.
 	dense := nn.NewDense("fc", 13, 9, true, rng)
@@ -363,7 +362,7 @@ func goldenHashes(dt tensor.DType) []golden {
 	dxin := goldenRand(rng, dt, 3, 13)
 	dy, dctx := dense.Forward(dxin, nil, nil)
 	g.tensors("Dense.Forward", dy)
-	g.tensors("Dense.Backward", dense.Backward(goldenRand(rng, dt, dy.Shape...), dctx, nil, nil), dense.Weight.G, dense.Bias.G)
+	g.tensors("Dense.Backward", dense.Backward(goldenRand(rng, dt, dy.Shape...), dctx, nil, nil), dense.Weight.Grad(), dense.Bias.Grad())
 	ry, rctx := nn.ReLU{}.Forward(dxin, nil, nil)
 	g.tensors("ReLU", ry, nn.ReLU{}.Backward(goldenRand(rng, dt, ry.Shape...), rctx, nil, nil))
 	sx := goldenRand(rng, dt, 2, 3, 6, 6)
@@ -387,10 +386,10 @@ func goldenHashes(dt tensor.DType) []golden {
 	o := NewSpiked(0.05, 0.9, 0.7, 1.3)
 	o.WeightDecay = 1e-3
 	for i := 0; i < 2; i++ {
-		p.G.CopyFrom(goldenRand(rng, dt, 6, 7))
+		p.Grad().CopyFrom(goldenRand(rng, dt, 6, 7))
 		o.Step([]*nn.Param{p})
 	}
-	g.tensors("Momentum.Step", p.W, p.G)
+	g.tensors("Momentum.Step", p.W, p.Grad())
 	g.scalars("Momentum.Step/velocity", o.Vel(p)...)
 	return g.out
 }

@@ -158,7 +158,9 @@ func (o *Momentum) Scatter(p *nn.Param, vel, prev []float64) {
 	}
 }
 
-// Step applies one update to every parameter and zeroes the gradients.
+// Step applies one update to every parameter and leaves every gradient
+// pending zero. A pending rank-1 gradient (nn.Param.PendingOuter) is formed
+// element by element inside the update; at f32 it is materialised first.
 func (o *Momentum) Step(params []*nn.Param) {
 	for _, p := range params {
 		v := o.Vel(p)
@@ -166,7 +168,8 @@ func (o *Momentum) Step(params []*nn.Param) {
 			if o.TrackPrev {
 				panic("optim: TrackPrev (weight prediction) is f64-only; f32 training excludes delay mitigations")
 			}
-			step(o, p.W.Data32(), p.G.Data32(), v)
+			step(o, p.W.Data32(), p.Grad().Data32(), v)
+			p.ZeroGrad()
 			continue
 		}
 		if o.TrackPrev {
@@ -177,34 +180,66 @@ func (o *Momentum) Step(params []*nn.Param) {
 			}
 			copy(prev, p.W.Data)
 		}
-		step(o, p.W.Data, p.G.Data, v)
+		if a, b, ok := p.PendingOuter(); ok {
+			stepOuter(o, p.W.Data, a.Data, b.Data, v)
+		} else {
+			step(o, p.W.Data, p.Grad().Data, v)
+		}
+		p.ZeroGrad()
 	}
 }
 
-// step updates one parameter's weights w from its gradient g and zeroes g.
+// update is one element of the SGDM/GSC update with momentum m, learning
+// rate lr, spike coefficients (a, b) and weight decay wd: it returns the new
+// weight and velocity for weight w, velocity v and gradient g. Every step
+// loop copies the optimizer's fields into locals once and calls this (it
+// inlines), so they share the arithmetic bit for bit.
+func update(w, v, g, m, lr, a, b, wd float64) (wNew, vNew float64) {
+	if wd != 0 {
+		g += wd * w
+	}
+	vNew = m*v + g
+	wNew = w - lr*(a*vNew+b*g)
+	return wNew, vNew
+}
+
+// step updates one parameter's weights w from its stored gradient g.
 // Velocity stays float64 at both dtypes — master-precision optimizer state:
 // each weight is widened to f64, updated there, and rounded exactly once on
 // the write back, so an f32 step loses precision only at the final store
 // (the standard mixed-precision recipe). At f64 every conversion is a no-op.
 func step[T tensor.Elem](o *Momentum, w, g []T, v []float64) {
-	for i := range w {
-		gi := float64(g[i])
-		if o.WeightDecay != 0 {
-			gi += o.WeightDecay * float64(w[i])
+	m, lr, ca, cb, wd := o.M, o.LR, o.A, o.B, o.WeightDecay
+	g, v = g[:len(w)], v[:len(w)]
+	for i, wi := range w {
+		wn, vn := update(float64(wi), v[i], float64(g[i]), m, lr, ca, cb, wd)
+		w[i], v[i] = T(wn), vn
+	}
+}
+
+// stepOuter is step at f64 for the pending gradient 0 + a⊗b of a
+// [len(a), len(b)] weight: element (r, c) of the gradient is formed where
+// it is used (nn.Outer, as the materialiser forms it), so no pass over G
+// runs.
+func stepOuter(o *Momentum, w, a, b, v []float64) {
+	m, lr, ca, cb, wd := o.M, o.LR, o.A, o.B, o.WeightDecay
+	n := len(b)
+	for r, ar := range a {
+		wr, vr := w[r*n:][:n], v[r*n:][:n]
+		for c, bc := range b {
+			wr[c], vr[c] = update(wr[c], vr[c], nn.Outer(ar, bc), m, lr, ca, cb, wd)
 		}
-		v[i] = o.M*v[i] + gi
-		w[i] = T(float64(w[i]) - o.LR*(o.A*v[i]+o.B*gi))
-		g[i] = 0
 	}
 }
 
 // StepPredict is Step fused with linear weight prediction: in the same pass
 // over (w, v) it writes each parameter's predicted weights for horizon t —
 // Eq. 18 or 19, formed from the weights and velocity just written — into the
-// gradient buffer G instead of zeroing it. The result is bit-identical to
-// Step followed by PredictInto(p.G.Data, p, form, t). G then holds ŵ, not a
-// gradient: the caller must zero it before the next backward accumulates.
-// The weight form needs TrackPrev. f64 only, like every predictor.
+// gradient buffer G instead of leaving it pending zero. The result is
+// bit-identical to Step followed by PredictInto(p.Grad().Data, p, form, t).
+// G then holds ŵ, not a gradient: the caller must ZeroGrad before the next
+// backward accumulates. The weight form needs TrackPrev. f64 only, like
+// every predictor.
 func (o *Momentum) StepPredict(params []*nn.Param, form LWPForm, t float64) {
 	if form == LWPWeight && !o.TrackPrev {
 		panic("optim: StepPredict with the weight form (LWPw) needs TrackPrev")
@@ -213,29 +248,84 @@ func (o *Momentum) StepPredict(params []*nn.Param, form LWPForm, t float64) {
 		if p.DType() != tensor.F64 {
 			panic("optim: weight prediction is f64-only for " + p.Name)
 		}
+		w, v := p.W.Data, o.Vel(p)
 		var prev []float64
 		if o.TrackPrev {
 			prev = o.Prev(p)
+			if form == LWPVelocity {
+				// Only the weight form reads prev inside the loop.
+				copy(prev, w)
+			}
 		}
-		stepPredict(o, p.W.Data, p.G.Data, o.Vel(p), prev, form, t)
+		a, b, outer := p.PendingOuter()
+		switch {
+		case outer && form == LWPWeight:
+			stepPredictOuterW(o, w, a.Data, b.Data, p.GradForOverwrite().Data, v, prev, t)
+		case outer:
+			stepPredictOuterV(o, w, a.Data, b.Data, p.GradForOverwrite().Data, v, t)
+		case form == LWPWeight:
+			stepPredictW(o, w, p.Grad().Data, v, prev, t)
+		default:
+			stepPredictV(o, w, p.Grad().Data, v, t)
+		}
 	}
 }
 
-// stepPredict is step at f64 with the prediction folded in: the update
-// arithmetic is step's, prev (when non-nil) receives the weights before the
-// update, and g receives ŵ instead of zero.
-func stepPredict(o *Momentum, w, g, v, prev []float64, form LWPForm, t float64) {
-	for i := range w {
-		gi := g[i]
-		if o.WeightDecay != 0 {
-			gi += o.WeightDecay * w[i]
+// stepPredictV is step at f64 with the velocity-form prediction (lwpV)
+// folded in: g receives ŵ in place of the gradient.
+func stepPredictV(o *Momentum, w, g, v []float64, t float64) {
+	m, lr, ca, cb, wd := o.M, o.LR, o.A, o.B, o.WeightDecay
+	lrt := lr * t
+	g, v = g[:len(w)], v[:len(w)]
+	for i, wi := range w {
+		wn, vn := update(wi, v[i], g[i], m, lr, ca, cb, wd)
+		w[i], v[i] = wn, vn
+		g[i] = lwpV(wn, vn, lrt)
+	}
+}
+
+// stepPredictW is stepPredictV for the weight form (lwpW); prev receives
+// the weights before the update.
+func stepPredictW(o *Momentum, w, g, v, prev []float64, t float64) {
+	m, lr, ca, cb, wd := o.M, o.LR, o.A, o.B, o.WeightDecay
+	g, v, prev = g[:len(w)], v[:len(w)], prev[:len(w)]
+	for i, wi := range w {
+		prev[i] = wi
+		wn, vn := update(wi, v[i], g[i], m, lr, ca, cb, wd)
+		w[i], v[i] = wn, vn
+		g[i] = lwpW(wn, wi, t)
+	}
+}
+
+// stepPredictOuterV is stepPredictV fed by the pending gradient 0 + a⊗b
+// (see stepOuter); g only receives ŵ.
+func stepPredictOuterV(o *Momentum, w, a, b, g, v []float64, t float64) {
+	m, lr, ca, cb, wd := o.M, o.LR, o.A, o.B, o.WeightDecay
+	lrt := lr * t
+	n := len(b)
+	for r, ar := range a {
+		wr, vr, gr := w[r*n:][:n], v[r*n:][:n], g[r*n:][:n]
+		for c, bc := range b {
+			wn, vn := update(wr[c], vr[c], nn.Outer(ar, bc), m, lr, ca, cb, wd)
+			wr[c], vr[c] = wn, vn
+			gr[c] = lwpV(wn, vn, lrt)
 		}
-		if prev != nil {
-			prev[i] = w[i]
+	}
+}
+
+// stepPredictOuterW is stepPredictW fed by the pending gradient 0 + a⊗b.
+func stepPredictOuterW(o *Momentum, w, a, b, g, v, prev []float64, t float64) {
+	m, lr, ca, cb, wd := o.M, o.LR, o.A, o.B, o.WeightDecay
+	n := len(b)
+	for r, ar := range a {
+		wr, vr, gr, pr := w[r*n:][:n], v[r*n:][:n], g[r*n:][:n], prev[r*n:][:n]
+		for c, bc := range b {
+			wi := wr[c]
+			pr[c] = wi
+			wn, vn := update(wi, vr[c], nn.Outer(ar, bc), m, lr, ca, cb, wd)
+			wr[c], vr[c] = wn, vn
+			gr[c] = lwpW(wn, wi, t)
 		}
-		v[i] = o.M*v[i] + gi
-		w[i] = w[i] - o.LR*(o.A*v[i]+o.B*gi)
-		g[i] = lwp(form, w, v, prev, o.LR, t, i)
 	}
 }
 
@@ -258,21 +348,26 @@ func (f LWPForm) String() string {
 	return "LWPv"
 }
 
-// lwp returns element i of the linear weight prediction with horizon t:
-// Eq. 18, ŵ = w − η·T·v, or Eq. 19, ŵ = w + T·(w − w_prev). Every predictor
-// — StepPredict inside the optimizer's own pass, the others over a whole
-// slice — computes ŵ here, so they agree bit for bit.
-func lwp(form LWPForm, w, v, prev []float64, lr, t float64, i int) float64 {
-	if form == LWPWeight {
-		return w[i] + t*(w[i]-prev[i])
-	}
-	return w[i] - lr*t*v[i]
-}
+// lwpV and lwpW are one element of the linear weight prediction with
+// horizon T: Eq. 18, ŵ = w − η·T·v (taking lrt = η·T, computed once), and
+// Eq. 19, ŵ = w + T·(w − w_prev). Every predictor — StepPredict inside the
+// optimizer's own pass, the others over a whole slice — computes ŵ here, so
+// they agree bit for bit.
+func lwpV(w, v, lrt float64) float64 { return w - lrt*v }
+
+func lwpW(w, prev, t float64) float64 { return w + t*(w-prev) }
 
 // lwpInto writes the whole prediction into dst.
 func lwpInto(dst []float64, form LWPForm, w, v, prev []float64, lr, t float64) {
+	if form == LWPWeight {
+		for i := range dst {
+			dst[i] = lwpW(w[i], prev[i], t)
+		}
+		return
+	}
+	lrt := lr * t
 	for i := range dst {
-		dst[i] = lwp(form, w, v, prev, lr, t, i)
+		dst[i] = lwpV(w[i], v[i], lrt)
 	}
 }
 
@@ -323,7 +418,7 @@ func (o *Momentum) PredictInto(dst []float64, p *nn.Param, form LWPForm, t float
 func ShrinkGradients(params []*nn.Param, gamma, d float64) {
 	s := math.Pow(gamma, d)
 	for _, p := range params {
-		p.G.Scale(s)
+		p.Grad().Scale(s)
 	}
 }
 
@@ -341,7 +436,7 @@ func NewAdam(lr float64) *Adam {
 		m: make(map[*nn.Param][]float64), v: make(map[*nn.Param][]float64)}
 }
 
-// Step applies one Adam update and zeroes gradients.
+// Step applies one Adam update and leaves every gradient pending zero.
 func (o *Adam) Step(params []*nn.Param) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
@@ -360,12 +455,12 @@ func (o *Adam) Step(params []*nn.Param) {
 			v = make([]float64, p.W.Size())
 			o.v[p] = v
 		}
-		w, g := p.W.Data, p.G.Data
+		w, g := p.W.Data, p.Grad().Data
 		for i := range w {
 			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g[i]
 			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g[i]*g[i]
 			w[i] -= o.LR * (m[i] / bc1) / (math.Sqrt(v[i]/bc2) + o.Eps)
-			g[i] = 0
 		}
+		p.ZeroGrad()
 	}
 }

@@ -97,17 +97,17 @@ func TestSpikeTotalContributionProperty(t *testing.T) {
 
 func TestMomentumPlainStep(t *testing.T) {
 	p := newParam(1, 2)
-	p.G.Data[0], p.G.Data[1] = 0.5, -1
+	p.Grad().Data[0], p.Grad().Data[1] = 0.5, -1
 	o := NewMomentum(0.1, 0.9)
 	o.Step([]*nn.Param{p})
 	// v = g, w -= lr*v
 	if math.Abs(p.W.Data[0]-(1-0.05)) > 1e-12 || math.Abs(p.W.Data[1]-2.1) > 1e-12 {
 		t.Fatalf("step1: %v", p.W.Data)
 	}
-	if p.G.Data[0] != 0 {
+	if p.Grad().Data[0] != 0 {
 		t.Fatal("Step must zero gradients")
 	}
-	p.G.Data[0] = 0.5
+	p.Grad().Data[0] = 0.5
 	o.Step([]*nn.Param{p})
 	// v = 0.9*0.5+0.5 = 0.95
 	if math.Abs(p.W.Data[0]-(0.95-0.1*0.95)) > 1e-12 {
@@ -123,7 +123,7 @@ func TestSpikedStepMatchesFormula(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10; i++ {
 		g := rng.NormFloat64()
-		p.G.Data[0] = g
+		p.Grad().Data[0] = g
 		o.Step([]*nn.Param{p})
 		vExp = 0.9*vExp + g
 		w -= 0.1 * (0.81*vExp + 1.9*g)
@@ -145,8 +145,8 @@ func TestGSCReducesToSGDMProperty(t *testing.T) {
 		o2 := NewSpiked(lr, m, a, b)
 		for i := 0; i < 5; i++ {
 			g := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-			copy(p1.G.Data, g)
-			copy(p2.G.Data, g)
+			copy(p1.Grad().Data, g)
+			copy(p2.Grad().Data, g)
 			o1.Step([]*nn.Param{p1})
 			o2.Step([]*nn.Param{p2})
 		}
@@ -209,8 +209,8 @@ func TestLWPFormsCoincideForSGDMProperty(t *testing.T) {
 		o := NewMomentum(lr, m)
 		o.TrackPrev = true
 		for i := 0; i < 6; i++ {
-			for j := range p.G.Data {
-				p.G.Data[j] = rng.NormFloat64()
+			for j := range p.Grad().Data {
+				p.Grad().Data[j] = rng.NormFloat64()
 			}
 			o.Step([]*nn.Param{p})
 		}
@@ -236,8 +236,8 @@ func TestLWPFormsDifferUnderSC(t *testing.T) {
 	o := NewSpiked(0.05, 0.9, a, b)
 	o.TrackPrev = true
 	for i := 0; i < 5; i++ {
-		for j := range p.G.Data {
-			p.G.Data[j] = rng.NormFloat64()
+		for j := range p.Grad().Data {
+			p.Grad().Data[j] = rng.NormFloat64()
 		}
 		o.Step([]*nn.Param{p})
 	}
@@ -270,21 +270,21 @@ func TestStepPredictMatchesStepThenPredict(t *testing.T) {
 		}
 		want := make([]float64, 4)
 		for s := 0; s < 5; s++ {
-			for j := range ref.G.Data {
-				ref.G.Data[j] = rng.NormFloat64()
+			for j := range ref.Grad().Data {
+				ref.Grad().Data[j] = rng.NormFloat64()
 			}
-			fused.G.CopyFrom(ref.G)
+			fused.Grad().CopyFrom(ref.Grad())
 			of.StepPredict([]*nn.Param{fused}, form, 2.5)
 			or.Step([]*nn.Param{ref})
 			or.PredictInto(want, ref, form, 2.5)
 			for i := range want {
-				if fused.W.Data[i] != ref.W.Data[i] || fused.G.Data[i] != want[i] ||
+				if fused.W.Data[i] != ref.W.Data[i] || fused.Grad().Data[i] != want[i] ||
 					of.Vel(fused)[i] != or.Vel(ref)[i] || of.Prev(fused)[i] != or.Prev(ref)[i] {
 					t.Fatalf("%s step %d element %d: fused (w %v, ŵ %v) vs reference (w %v, ŵ %v)",
-						form, s, i, fused.W.Data[i], fused.G.Data[i], ref.W.Data[i], want[i])
+						form, s, i, fused.W.Data[i], fused.Grad().Data[i], ref.W.Data[i], want[i])
 				}
 			}
-			fused.G.Zero()
+			fused.Grad().Zero()
 		}
 		if n := testing.AllocsPerRun(10, func() {
 			of.StepPredict([]*nn.Param{fused}, form, 2.5)
@@ -314,24 +314,24 @@ func TestEquivalenceCoefficients(t *testing.T) {
 
 func TestShrinkGradients(t *testing.T) {
 	p := newParam(0, 0)
-	p.G.Data[0], p.G.Data[1] = 2, -4
+	p.Grad().Data[0], p.Grad().Data[1] = 2, -4
 	ShrinkGradients([]*nn.Param{p}, 0.5, 2)
-	if p.G.Data[0] != 0.5 || p.G.Data[1] != -1 {
-		t.Fatalf("shrink: %v", p.G.Data)
+	if p.Grad().Data[0] != 0.5 || p.Grad().Data[1] != -1 {
+		t.Fatalf("shrink: %v", p.Grad().Data)
 	}
 }
 
 func TestAdamStep(t *testing.T) {
 	p := newParam(1)
 	o := NewAdam(0.1)
-	p.G.Data[0] = 1
+	p.Grad().Data[0] = 1
 	o.Step([]*nn.Param{p})
 	// First step of Adam moves by ~lr regardless of gradient scale.
 	if math.Abs(p.W.Data[0]-(1-0.1/(1+1e-8))) > 1e-9 {
 		t.Fatalf("adam step1: %v", p.W.Data[0])
 	}
 	// Gradient zeroed.
-	if p.G.Data[0] != 0 {
+	if p.Grad().Data[0] != 0 {
 		t.Fatal("Adam must zero gradients")
 	}
 }
@@ -340,7 +340,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	p := newParam(5)
 	o := NewAdam(0.05)
 	for i := 0; i < 2000; i++ {
-		p.G.Data[0] = p.W.Data[0] // grad of 0.5 w^2
+		p.Grad().Data[0] = p.W.Data[0] // grad of 0.5 w^2
 		o.Step([]*nn.Param{p})
 	}
 	if math.Abs(p.W.Data[0]) > 1e-2 {
@@ -351,7 +351,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 func TestMomentumReset(t *testing.T) {
 	p := newParam(1)
 	o := NewMomentum(0.1, 0.9)
-	p.G.Data[0] = 1
+	p.Grad().Data[0] = 1
 	o.Step([]*nn.Param{p})
 	o.Reset()
 	if o.Vel(p)[0] != 0 {

@@ -151,7 +151,7 @@ func TestRegroupGradientsMatch(t *testing.T) {
 	coarse.LossAndGrad(x, []int{1})
 	pa, pb := netA.Params(), netB.Params()
 	for i := range pa {
-		if !pa[i].G.AllClose(pb[i].G, 1e-12) {
+		if !pa[i].Grad().AllClose(pb[i].Grad(), 1e-12) {
 			t.Fatalf("gradient mismatch at %s", pa[i].Name)
 		}
 	}
@@ -247,7 +247,7 @@ func TestEstimateCostsLeavesTrainingStateUntouched(t *testing.T) {
 	before := net.SnapshotWeights()
 	costsA := EstimateCosts(net, []int{1, 3, 8, 8})
 	for _, p := range net.Params() {
-		for i, g := range p.G.Data {
+		for i, g := range p.Grad().Data {
 			if g != 0 {
 				t.Fatalf("param %q gradient[%d] = %v after probe, want 0", p.Name, i, g)
 			}
