@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/optim"
 	"repro/internal/tensor"
 )
 
@@ -73,7 +72,9 @@ type AsyncPBTrainer struct {
 	Net *nn.Network
 	Cfg Config
 
-	stages []*asyncStage
+	stageSet
+	// astages are the stage workers: stageSet's stages with their queues.
+	astages []*asyncStage
 	// resCh carries completed-sample results from the last stage back to
 	// the driver. The driver harvests it inside every blocking send, so the
 	// last stage can never wedge the pipeline on a full result queue.
@@ -126,6 +127,7 @@ func NewAsyncPBTrainer(net *nn.Network, cfg Config) *AsyncPBTrainer {
 		donePing:  make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 		dtype:     inner.dtype,
+		stageSet:  inner.stageSet,
 	}
 	for i, st := range inner.stages {
 		as := &asyncStage{stageState: st, fwdIn: make(chan *inflight, 1)}
@@ -134,7 +136,7 @@ func NewAsyncPBTrainer(net *nn.Network, cfg Config) *AsyncPBTrainer {
 			// backward sends are wait-free (deadlock freedom).
 			as.bwdIn = make(chan *nn.Packet, st.delay+2)
 		}
-		t.stages = append(t.stages, as)
+		t.astages = append(t.astages, as)
 	}
 	// Every stage goroutine counts against the worker budget; the surplus
 	// becomes per-stage kernel workers, front-loaded onto the early stages,
@@ -143,53 +145,11 @@ func NewAsyncPBTrainer(net *nn.Network, cfg Config) *AsyncPBTrainer {
 	// Per-stage producers were attached by newPBTrainer; the driver emits
 	// through its own ring.
 	t.obsDrv = driverProducer(cfg.Obs)
-	for i := range t.stages {
+	for i := range t.astages {
 		t.wg.Add(1)
 		go t.worker(i)
 	}
 	return t
-}
-
-// NumStages returns the pipeline depth S.
-func (t *AsyncPBTrainer) NumStages() int { return len(t.stages) }
-
-// Delays returns the analytic per-stage delays D_s.
-func (t *AsyncPBTrainer) Delays() []int {
-	d := make([]int, len(t.stages))
-	for i, s := range t.stages {
-		d[i] = s.delay
-	}
-	return d
-}
-
-// ObservedDelays returns the maximum forward→backward update gap measured
-// per stage. Only valid with the pipeline quiesced (after Drain or Close).
-func (t *AsyncPBTrainer) ObservedDelays() []int {
-	d := make([]int, len(t.stages))
-	for i, s := range t.stages {
-		d[i] = s.maxObserved
-	}
-	return d
-}
-
-// StageOptimizer exposes stage i's optimizer so the async engine satisfies
-// checkpoint.PipelineTrainer. Like ObservedDelays, the stage accessors are
-// only valid with the pipeline quiesced (after Drain or Close). Resume is
-// exact: the LR schedule is driven entirely by the per-stage update counters
-// that checkpoint.Restore restores.
-func (t *AsyncPBTrainer) StageOptimizer(i int) *optim.Momentum { return t.stages[i].opt }
-
-// StageParams exposes stage i's parameters (for checkpointing).
-func (t *AsyncPBTrainer) StageParams(i int) []*nn.Param { return t.stages[i].params }
-
-// StageUpdates returns stage i's applied-update counter.
-func (t *AsyncPBTrainer) StageUpdates(i int) int { return t.stages[i].updates }
-
-// SetStageUpdates restores stage i's update counter from a checkpoint and
-// drops the stage's prediction (see PBTrainer.SetStageUpdates).
-func (t *AsyncPBTrainer) SetStageUpdates(i, updates int) {
-	t.stages[i].updates = updates
-	t.stages[i].dropPrediction()
 }
 
 // UpdateStep reports the engine's schedule position: stage 0's update count
@@ -289,7 +249,7 @@ func (t *AsyncPBTrainer) Submit(ctx context.Context, x *tensor.Tensor, label int
 	t.submitted++
 	for {
 		select {
-		case t.stages[0].fwdIn <- in:
+		case t.astages[0].fwdIn <- in:
 			rs = t.harvest(rs)
 			t.emitDriver(rs)
 			return rs, nil
@@ -358,15 +318,6 @@ func (t *AsyncPBTrainer) cancelled(ctx context.Context, rs []*Result) ([]*Result
 	return rs, ctx.Err()
 }
 
-// dropPredictions clears ŵ from every stage's G. Only valid with the pipeline
-// quiesced: every stage's last update happened before the completion Drain
-// waited for.
-func (t *AsyncPBTrainer) dropPredictions() {
-	for _, st := range t.stages {
-		st.dropPrediction()
-	}
-}
-
 // emitDriver publishes the driver-side view — harvested completions and the
 // engine-level queue depth — after a Submit or Drain.
 func (t *AsyncPBTrainer) emitDriver(rs []*Result) {
@@ -406,16 +357,12 @@ func (t *AsyncPBTrainer) Stats() Stats {
 		Completed:     int(t.completed.Load()),
 		AdmitDeferred: t.admitDeferred,
 	}
-	for _, st := range t.stages {
-		if st.maxObserved > s.MaxObservedDelay {
-			s.MaxObservedDelay = st.maxObserved
-		}
-	}
+	s.MaxObservedDelay = t.maxObservedDelay()
 	if t.wallNs == 0 {
 		return s
 	}
 	var busy int64
-	for _, st := range t.stages {
+	for _, st := range t.astages {
 		busy += st.busyNs
 	}
 	workers := len(t.stages)
@@ -439,7 +386,7 @@ func (t *AsyncPBTrainer) complete() {
 // for a just-forwarded sample and returns the result and the upstream
 // gradient. The forwarded packet is reused to carry the loss gradient.
 func (t *AsyncPBTrainer) lossBackward(i int, in *inflight, out *nn.Packet, lr float64) (*Result, *nn.Packet) {
-	st := t.stages[i]
+	st := t.astages[i]
 	loss, correct, grad := st.runLossHead(t.Net.Head, out, in.label)
 	dx := st.runBackward(grad, lr)
 	return &Result{ID: in.id, Loss: loss, Correct: correct}, dx
@@ -464,7 +411,7 @@ func (t *AsyncPBTrainer) retireInput(st *asyncStage, dx *nn.Packet) {
 // shifted by its fill latency 2(S−1)−i — the step at which the synchronous
 // schedule would perform the same numbered update under continuous feeding.
 func (t *AsyncPBTrainer) freeLR(i int) float64 {
-	st := t.stages[i]
+	st := t.astages[i]
 	return t.Cfg.lrAt(st.updates + 2*(len(t.stages)-1) - i)
 }
 
@@ -472,8 +419,8 @@ func (t *AsyncPBTrainer) freeLR(i int) float64 {
 // work, with forwards gated by the staleness cap.
 func (t *AsyncPBTrainer) worker(i int) {
 	defer t.wg.Done()
-	st := t.stages[i]
-	last := i == len(t.stages)-1
+	st := t.astages[i]
+	last := i == len(t.astages)-1
 	for {
 		if !last {
 			// Backward priority: consume every gradient already queued
@@ -534,8 +481,8 @@ func (t *AsyncPBTrainer) worker(i int) {
 // stage additionally computes the loss and its own zero-delay backward.
 // Returns false when the engine is stopping.
 func (t *AsyncPBTrainer) freeForward(i int, in *inflight) bool {
-	st := t.stages[i]
-	last := i == len(t.stages)-1
+	st := t.astages[i]
+	last := i == len(t.astages)-1
 	// Injected stalls sit outside the busy window: a straggling stage reads
 	// as idle, lowering measured utilization, never inflating it.
 	st.stall(false)
@@ -546,7 +493,7 @@ func (t *AsyncPBTrainer) freeForward(i int, in *inflight) bool {
 		st.emitObs()
 		in.packet = out // reuse the inflight wrapper for the next hop
 		select {
-		case t.stages[i+1].fwdIn <- in:
+		case t.astages[i+1].fwdIn <- in:
 			return true
 		case <-t.stop:
 			return false
@@ -570,7 +517,7 @@ func (t *AsyncPBTrainer) freeForward(i int, in *inflight) bool {
 		return true
 	}
 	select {
-	case t.stages[i-1].bwdIn <- dx:
+	case t.astages[i-1].bwdIn <- dx:
 		return true
 	case <-t.stop:
 		return false
@@ -580,7 +527,7 @@ func (t *AsyncPBTrainer) freeForward(i int, in *inflight) bool {
 // freeBackward runs one backward+update at stage i and routes the gradient
 // upstream. Returns false when the engine is stopping.
 func (t *AsyncPBTrainer) freeBackward(i int, g *nn.Packet) bool {
-	st := t.stages[i]
+	st := t.astages[i]
 	st.stall(true)
 	t0 := time.Now() //lint:allow(determinism) busy-time accounting for Stats.Utilization; never feeds the training math
 	dx := st.runBackward(g, t.freeLR(i))
@@ -592,7 +539,7 @@ func (t *AsyncPBTrainer) freeBackward(i int, g *nn.Packet) bool {
 		return true
 	}
 	select {
-	case t.stages[i-1].bwdIn <- dx:
+	case t.astages[i-1].bwdIn <- dx:
 		return true
 	case <-t.stop:
 		return false

@@ -3,12 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
-	stdsync "sync"
+	"slices"
 	"time"
 
 	"repro/internal/nn"
 	obspkg "repro/internal/obs"
-	"repro/internal/optim"
 	syncpol "repro/internal/sync"
 	"repro/internal/tensor"
 )
@@ -31,21 +30,18 @@ import (
 //     routes all samples to the one replica, never quiesces mid-stream, and
 //     releases results in completion order, so Cluster(R=1) is bit-identical
 //     to the bare engine (TestClusterR1MatchesEngine).
-//   - sync-grad: replicas run in lockstep rounds over a shared permutation and
-//     every stage update applies the replica-index-ordered mean gradient, so
-//     the weight trajectory is engine-order-deterministic at any R
-//     (TestSyncGradDeterministic).
+//   - sync-grad: the driver steps the replicas in rounds over a shared
+//     permutation and every stage update applies the replica-index-ordered
+//     mean gradient, so the weight trajectory is deterministic at any R and
+//     the same under seq and lockstep replicas (TestSyncGradDeterministic).
 
 // replicaView is what the cluster needs from each inner engine beyond the
-// Engine interface: stage-indexed parameter/optimizer access for the sync
-// policies and checkpointing. newEngine returns it, so every engine in the
+// Engine interface: the stage-indexed state the sync policies and
+// checkpoints read and write. newEngine returns it, so every engine in the
 // closed set is checked at compile time to satisfy it.
 type replicaView interface {
 	Engine
-	StageParams(i int) []*nn.Param
-	StageOptimizer(i int) *optim.Momentum
-	StageUpdates(i int) int
-	SetStageUpdates(i, updates int)
+	syncpol.Replica
 	// dropPredictions clears ŵ from every stage's G on a quiesced replica.
 	dropPredictions()
 }
@@ -55,19 +51,11 @@ type ClusterConfig struct {
 	// Replicas is R. 0 means len(nets).
 	Replicas int
 	// Engine names the inner engine built per replica (one of EngineNames;
-	// "" = "seq"). Policies with GradReduce need a stepped engine, i.e. a
-	// PBTrainer: "seq" or "lockstep".
+	// "" = "seq"). Policies with GradReduce need a stepped engine at R > 1,
+	// i.e. a PBTrainer: "seq" or "lockstep".
 	Engine string
 	// Policy coordinates replica weights; nil means sync.None.
 	Policy syncpol.Policy
-}
-
-// pendingSample is a sample buffered by the sync-grad drive until a full
-// round (one sample per replica) is available.
-type pendingSample struct {
-	x       *tensor.Tensor
-	label   int
-	replica int
 }
 
 // Cluster runs R pipeline replicas behind the Engine interface. Submit
@@ -110,12 +98,12 @@ type Cluster struct {
 	pending map[int]*Result
 	nextOut int
 
-	// sync-grad drive state (nil/unused for other policies). stepped holds
-	// the replicas' engines, which must be *PBTrainer (seq or lockstep): the
-	// rounds need Push/Step, and async has no global step.
-	reducer  *gradReducer
+	// stepped holds the replicas' engines when the policy averages
+	// gradients at R > 1 (nil otherwise). They must be *PBTrainer (seq or
+	// lockstep): a round steps them sweep by sweep, and async has no global
+	// step. admitted counts the samples pushed since the last round.
 	stepped  []*PBTrainer
-	roundBuf []pendingSample
+	admitted int
 
 	// obs is the cluster's driver-side producer for Config.Obs. The cluster
 	// emits at the driver level only (released results, global queue depth,
@@ -171,7 +159,7 @@ func NewCluster(nets []*nn.Network, cfg Config, cc ClusterConfig) (*Cluster, err
 		c.engines = append(c.engines, rv)
 		c.views = append(c.views, rv)
 	}
-	if err := c.installReducer(); err != nil {
+	if err := c.bindStepped(); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -197,21 +185,13 @@ func (c *Cluster) buildReplica(net *nn.Network, workers int) (replicaView, error
 	return newEngine(c.engineName, net, rcfg)
 }
 
-// installReducer (re)builds the sync-grad gradient-reduction harness for the
-// current replica set, or tears it down when the policy doesn't reduce or a
-// single replica remains. With one replica the mean gradient is the gradient
-// itself, so the harness (and its stepped-engine requirement) only engages at
-// R > 1 — Cluster(R=1) stays a transparent wrapper for every engine under
-// every policy. The barrier bookkeeping resumes from the engines' per-stage
-// update counters, which are aligned whenever this runs (fresh construction,
-// or a membership change on a drained-and-synced cluster).
-func (c *Cluster) installReducer() error {
-	for _, pb := range c.stepped {
-		for _, ss := range pb.stages {
-			ss.reduce = nil
-		}
-	}
-	c.reducer = nil
+// bindStepped collects the replicas' stepped engines when the policy
+// averages gradients, or clears them when it doesn't or a single replica
+// remains. With one replica the mean gradient is the gradient itself, so
+// the rounds (and their stepped-engine requirement) only engage at R > 1 —
+// Cluster(R=1) stays a transparent wrapper for every engine under every
+// policy.
+func (c *Cluster) bindStepped() error {
 	c.stepped = nil
 	if !c.policy.GradReduce() || len(c.engines) < 2 {
 		return nil
@@ -224,32 +204,7 @@ func (c *Cluster) installReducer() error {
 		}
 		c.stepped = append(c.stepped, pb)
 	}
-	c.reducer = newGradReducer(c.engines)
-	for ri, pb := range c.stepped {
-		for _, ss := range pb.stages {
-			ss.reduce = c.reducer.hook(ri)
-		}
-	}
-	c.realignReducerCounters()
 	return nil
-}
-
-// realignReducerCounters resumes the reduction-barrier bookkeeping from the
-// engines' per-stage update counters: counts from stage 0 (the per-replica
-// update targets) and each slot's next update index from replica 0. Valid
-// whenever the replicas are counter-aligned — fresh construction, a restored
-// checkpoint (whose drain broadcast aligned every replica), or a membership
-// change at a sync boundary.
-func (c *Cluster) realignReducerCounters() {
-	if c.reducer == nil {
-		return
-	}
-	for r := range c.reducer.counts {
-		c.reducer.counts[r] = c.engines[r].StageUpdates(0)
-	}
-	for s := range c.reducer.slots {
-		c.reducer.slots[s].done = c.engines[0].StageUpdates(s)
-	}
 }
 
 // validateReplicaNets checks that every replica network has the same pipeline
@@ -290,16 +245,13 @@ func validateReplicaNets(nets []*nn.Network) error {
 
 // ---- elastic membership ----
 
-// checkQuiesced verifies the cluster is fully drained — no buffered round,
-// no in-flight samples, no unreleased results. Membership changes require a
+// checkQuiesced verifies the cluster is fully drained — no in-flight or
+// pushed samples, no unreleased results. Membership changes require a
 // quiesced cluster so the shard routing can re-partition at a clean sample
 // boundary; callers Drain first.
 func (c *Cluster) checkQuiesced(op string) error {
 	if c.closed {
 		return fmt.Errorf("core: %s on a closed cluster", op)
-	}
-	if len(c.roundBuf) > 0 {
-		return fmt.Errorf("core: %s with %d samples buffered for the next sync-grad round (Drain first)", op, len(c.roundBuf))
 	}
 	for r, in := range c.ids {
 		if len(in) > 0 {
@@ -367,11 +319,10 @@ func (c *Cluster) AddReplica(net *nn.Network) error {
 // membershipChanged finalizes a replica-set change: the change point is a
 // sync boundary (the periodic-sync cadence restarts from the current cursor —
 // the pre-change interval position is not carried across a re-partition) and
-// the gradient-reduction harness is rebuilt for the new replica set, resuming
-// its barrier bookkeeping from the (aligned) engine update counters.
+// the stepped engines are collected again for the new replica set.
 func (c *Cluster) membershipChanged() error {
 	c.lastSync = c.submitted
-	return c.installReducer()
+	return c.bindStepped()
 }
 
 // Replicas returns R.
@@ -435,8 +386,8 @@ func (c *Cluster) Stats() Stats {
 	return s
 }
 
-// Close releases every replica engine. Idempotent; in-flight and round-
-// buffered samples are abandoned.
+// Close releases every replica engine. Idempotent; in-flight samples are
+// abandoned.
 func (c *Cluster) Close() {
 	if c.closed {
 		return
@@ -445,7 +396,6 @@ func (c *Cluster) Close() {
 	for _, e := range c.engines {
 		e.Close()
 	}
-	c.roundBuf = nil
 }
 
 // absorb renumbers a batch of replica-r results with their global submission
@@ -491,12 +441,13 @@ func (c *Cluster) Submit(ctx context.Context, x *tensor.Tensor, label int) ([]*R
 	c.ids[r] = append(c.ids[r], g)
 
 	var out []*Result
-	if c.reducer != nil {
-		// sync-grad: buffer until a full round (one sample per replica) is
-		// available, then drive all replicas through it together.
-		c.roundBuf = append(c.roundBuf, pendingSample{x: x, label: label, replica: r})
-		if len(c.roundBuf) == len(c.engines) {
-			out = c.flushRound()
+	if c.stepped != nil {
+		// sync-grad: the sample waits in its replica until R samples have
+		// been admitted, one per replica, and then they step together.
+		c.stepped[r].Push(x, label)
+		c.admitted++
+		if c.admitted == len(c.engines) {
+			out = c.round()
 		}
 	} else {
 		rs, err := c.engines[r].Submit(ctx, x, label)
@@ -534,31 +485,34 @@ func (c *Cluster) emitDriver(rs []*Result) {
 }
 
 // runSync executes the policy's sync on the quiesced replicas and advances
-// the sync clock. For gradient-reducing policies the sync re-aligns every
-// replica's state to the tail owner's (Broadcast), so the reducer's
-// per-replica update targets are re-aligned with it.
+// the sync clock.
 func (c *Cluster) runSync() {
 	c.policy.Sync(c.views)
 	// The policy wrote weights and optimizer state behind the stage loops.
-	// sync-grad quiesces through drainRounds, not the engines' Drain, so
-	// their predictions are still in G here.
+	// sync-grad quiesces by rounds, not the engines' Drain, so their
+	// predictions are still in G here.
 	for _, e := range c.engines {
 		e.dropPredictions()
 	}
 	c.syncs++
 	c.lastSync = c.submitted
 	c.obs.Emit(obspkg.Event{Kind: obspkg.KindSyncClock, Stage: -1, Count: int64(c.syncs)})
-	if c.reducer != nil {
-		c.reducer.realign()
-	}
 }
 
 // quiesce drains every replica (in replica order) and returns the released
-// results.
+// results. Sync-grad replicas drain by rounds: the ctx is checked before
+// each, but a pending partial round, whose samples are already in their
+// replicas, always runs.
 func (c *Cluster) quiesce(ctx context.Context) ([]*Result, error) {
 	var out []*Result
-	if c.reducer != nil {
-		return out, c.drainRounds(ctx, &out)
+	if c.stepped != nil {
+		for slices.ContainsFunc(c.stepped, func(pb *PBTrainer) bool { return pb.Outstanding() > 0 }) {
+			if err := ctxErr(ctx); err != nil && c.admitted == 0 {
+				return out, err
+			}
+			out = append(out, c.round()...)
+		}
+		return out, nil
 	}
 	for r, e := range c.engines {
 		rs, err := e.Drain(ctx)
@@ -589,77 +543,89 @@ func (c *Cluster) Drain(ctx context.Context) ([]*Result, error) {
 	return out, nil
 }
 
-// flushRound dispatches the buffered (possibly partial) round to the
-// replicas and collects its results. Counts are published to the reducer
-// before any replica steps, so the reduction barrier knows exactly which
-// replicas will contribute each update.
-func (c *Cluster) flushRound() []*Result {
-	pushes := c.roundBuf
-	c.roundBuf = c.roundBuf[:0]
-	for i := range pushes {
-		c.reducer.counts[pushes[i].replica]++
-	}
-	return c.gradRound(pushes)
-}
-
-// gradRound advances every active replica by one pipeline step — with their
-// per-round sample pushes — concurrently, so the gradient-reduction barrier
-// can pair the replicas' same-numbered stage updates. Results are absorbed
-// in replica order, keeping the release stream deterministic.
-func (c *Cluster) gradRound(pushes []pendingSample) []*Result {
-	res := make([]*Result, len(c.engines))
-	var wg stdsync.WaitGroup
-	for r := range c.engines {
-		var push *pendingSample
-		for i := range pushes {
-			if pushes[i].replica == r {
-				push = &pushes[i]
-			}
+// round steps every replica with work once, as one update of size R per
+// stage. The replicas run one sweep of forwards and gradients (lockstep
+// replicas are all released before any is waited for, so their lanes
+// overlap); then one update sweep, on the first active replica's stages,
+// averages each stage's gradient over the replicas that computed one and
+// applies it to each of them. Results are absorbed in replica order,
+// keeping the release stream deterministic.
+func (c *Cluster) round() []*Result {
+	c.admitted = 0
+	var active []int
+	for r, pb := range c.stepped {
+		if pb.Outstanding() > 0 {
+			pb.begin()
+			active = append(active, r)
 		}
-		if push == nil && c.stepped[r].Outstanding() == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(r int, push *pendingSample) {
-			defer wg.Done()
-			if push != nil {
-				c.stepped[r].Push(push.x, push.label)
-			}
-			res[r] = c.stepped[r].Step()
-		}(r, push)
 	}
-	wg.Wait()
+	for _, r := range active {
+		c.stepped[r].release(c.stepped[r].gradSweep)
+	}
+	for _, r := range active {
+		c.stepped[r].wait()
+	}
+	c.stepped[active[0]].sweep(c.updateStage)
 	var out []*Result
-	for r, re := range res {
-		if re != nil {
-			out = append(out, c.absorb(r, []*Result{re})...)
+	for _, r := range active {
+		if res := c.stepped[r].end(); res != nil {
+			out = append(out, c.absorb(r, []*Result{res})...)
 		}
 	}
 	return out
 }
 
-// drainRounds flushes a partial round and then steps the active replicas
-// until every pipeline is empty, appending released results to out. The ctx
-// is checked between rounds; a started round always completes.
-func (c *Cluster) drainRounds(ctx context.Context, out *[]*Result) error {
-	if len(c.roundBuf) > 0 {
-		*out = append(*out, c.flushRound()...)
+// updateStage is stage s's part of a round's update sweep: it averages the
+// stage's gradients and applies the mean on every replica that computed
+// one this round. The peers' lanes are idle during the sweep, so reading
+// and writing their stage state here is race-free.
+func (c *Cluster) updateStage(s int) {
+	c.averageStage(s)
+	for _, pb := range c.stepped {
+		if pb.held[s] {
+			pb.held[s] = false
+			pb.stages[s].update(pb.lr())
+		}
 	}
-	for {
-		active := false
-		for _, se := range c.stepped {
-			if se.Outstanding() > 0 {
-				active = true
-				break
+}
+
+// averageStage replaces stage s's gradient, on every replica that holds
+// one, with the mean over those replicas, summed in replica-index order
+// into the first one's G. With one contributor the gradient is multiplied
+// by exactly 1.0 — bit-identical to no averaging.
+func (c *Cluster) averageStage(s int) {
+	first, n := -1, 0
+	for r, pb := range c.stepped {
+		if pb.held[s] {
+			n++
+			if first < 0 {
+				first = r
 			}
 		}
-		if !active {
-			return nil
+	}
+	if n == 0 {
+		return
+	}
+	inv := 1.0 / float64(n)
+	peers := c.stepped[first+1:]
+	for j, p := range c.stepped[first].stages[s].params {
+		dst := p.Grad().Data
+		for _, pb := range peers {
+			if pb.held[s] {
+				g := pb.stages[s].params[j].Grad().Data
+				for i := range dst {
+					dst[i] += g[i]
+				}
+			}
 		}
-		if err := ctxErr(ctx); err != nil {
-			return err
+		for i := range dst {
+			dst[i] *= inv
 		}
-		*out = append(*out, c.gradRound(nil)...)
+		for _, pb := range peers {
+			if pb.held[s] {
+				copy(pb.stages[s].params[j].Grad().Data, dst)
+			}
+		}
 	}
 }
 
@@ -692,157 +658,4 @@ func (c *Cluster) SetClusterCursor(submitted, syncs, lastSync int) {
 	c.syncs = syncs
 	c.lastSync = lastSync
 	c.nextOut = submitted
-	// Resume the barrier bookkeeping from the restored update counters (a
-	// checkpoint is taken on a drained cluster, whose drain broadcast aligned
-	// every replica to the tail owner — so counters, not raw sample counts,
-	// are the ground truth).
-	c.realignReducerCounters()
-}
-
-// ---- sync-grad gradient reduction ----
-
-// gradReducer implements the cross-replica gradient-averaging barrier of the
-// sync-grad policy. Every stage has one slot; a replica entering its u-th
-// update at stage s blocks until all replicas that own a u-th sample have
-// contributed, then one goroutine computes the replica-index-ordered mean
-// into every contributor's gradient accumulator and releases them all. The
-// deterministic summation order makes the whole trajectory run-to-run
-// identical regardless of goroutine scheduling.
-type gradReducer struct {
-	// counts[r] is the number of samples routed to replica r, published by
-	// the driver before each round (happens-before via goroutine dispatch).
-	// A replica contributes update u at a stage iff counts[r] > u.
-	counts []int
-	// params[s][r] are replica r's stage-s parameters (fixed at setup).
-	params [][][]*nn.Param
-	slots  []reduceSlot
-}
-
-// reduceSlot is one stage's barrier state.
-type reduceSlot struct {
-	mu      stdsync.Mutex
-	cond    *stdsync.Cond
-	arrived int
-	// done is the number of completed reductions — the next update index.
-	done int
-}
-
-func newGradReducer(engines []replicaView) *gradReducer {
-	s := engines[0].NumStages()
-	rd := &gradReducer{
-		counts: make([]int, len(engines)),
-		params: make([][][]*nn.Param, s),
-		slots:  make([]reduceSlot, s),
-	}
-	for i := 0; i < s; i++ {
-		rd.params[i] = make([][]*nn.Param, len(engines))
-		for r, e := range engines {
-			rd.params[i][r] = e.StageParams(i)
-		}
-		rd.slots[i].cond = stdsync.NewCond(&rd.slots[i].mu)
-	}
-	return rd
-}
-
-// hook returns the stageState.reduce callback for replica r.
-func (rd *gradReducer) hook(r int) func(stage int, params []*nn.Param) {
-	return func(stage int, params []*nn.Param) {
-		// Materialise on the replica's own goroutine: the reducer reads
-		// every contributor's G and must never form a peer's pending one.
-		for _, p := range params {
-			p.Grad()
-		}
-		rd.reduce(r, stage)
-	}
-}
-
-// realign raises every replica's update target to the maximum — called right
-// after a broadcast sync, which set every replica's weights, optimizer state
-// and update counters to the tail owner's. Without this, a replica that
-// missed the partial final round would re-enter the next epoch one update
-// index behind its (broadcast-aligned) peers and the barrier bookkeeping
-// would diverge from the counters (TestSyncGradSecondEpochAfterOddTail).
-func (rd *gradReducer) realign() {
-	max := 0
-	for _, cnt := range rd.counts {
-		if cnt > max {
-			max = cnt
-		}
-	}
-	for r := range rd.counts {
-		rd.counts[r] = max
-	}
-}
-
-// expected counts the replicas that own a u-th sample.
-func (rd *gradReducer) expected(u int) int {
-	n := 0
-	for _, cnt := range rd.counts {
-		if cnt > u {
-			n++
-		}
-	}
-	return n
-}
-
-// reduce is the barrier body: called by replica r's stage goroutine between
-// gradient computation and the optimizer step.
-func (rd *gradReducer) reduce(r, stage int) {
-	sl := &rd.slots[stage]
-	sl.mu.Lock()
-	u := sl.done
-	sl.arrived++
-	if sl.arrived == rd.expected(u) {
-		rd.average(stage, u)
-		sl.arrived = 0
-		sl.done++
-		sl.cond.Broadcast()
-	} else {
-		for sl.done == u {
-			sl.cond.Wait()
-		}
-	}
-	sl.mu.Unlock()
-}
-
-// average replaces each contributing replica's stage gradients with the mean
-// over contributors, summing in replica-index order. Runs under the slot
-// lock; non-contributing replicas are quiesced past this update. With one
-// contributor the gradient is multiplied by exactly 1.0 — bit-identical to
-// no reduction, the R=1 anchor.
-func (rd *gradReducer) average(stage, u int) {
-	first := -1
-	n := 0
-	for r, cnt := range rd.counts {
-		if cnt > u {
-			n++
-			if first < 0 {
-				first = r
-			}
-		}
-	}
-	if first < 0 {
-		panic("core: gradient reduction with no contributors")
-	}
-	inv := 1.0 / float64(n)
-	base := rd.params[stage][first]
-	for j := range base {
-		dst := base[j].Grad().Data
-		for r := first + 1; r < len(rd.counts); r++ {
-			if rd.counts[r] > u {
-				g := rd.params[stage][r][j].Grad().Data
-				for i := range dst {
-					dst[i] += g[i]
-				}
-			}
-		}
-		for i := range dst {
-			dst[i] *= inv
-		}
-		for r := first + 1; r < len(rd.counts); r++ {
-			if rd.counts[r] > u {
-				copy(rd.params[stage][r][j].Grad().Data, dst)
-			}
-		}
-	}
 }

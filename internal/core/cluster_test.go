@@ -173,7 +173,9 @@ func TestSyncGradDeterministic(t *testing.T) {
 }
 
 // TestSyncGradR4 checks sync-grad at R=4: every submitted sample comes back
-// exactly once and all replicas agree bit for bit after the drain broadcast.
+// exactly once, all replicas agree bit for bit after the drain broadcast,
+// and lockstep replicas — whose lanes a round releases together — match
+// seq ones bit for bit.
 func TestSyncGradR4(t *testing.T) {
 	train, _ := data.GaussianBlobs(8, 4, 30, 0, 2.5, 1.0, 17)
 	perm := rand.New(rand.NewSource(3)).Perm(train.Len())
@@ -184,14 +186,16 @@ func TestSyncGradR4(t *testing.T) {
 	for i := 1; i < 4; i++ {
 		weightsEqual(t, fmt.Sprintf("replica0-vs-replica%d", i), nets[0], nets[i])
 	}
+	lnets, lres := runSyncGrad(t, "lockstep", 4, train, perm, None)
+	weightsEqual(t, "seq-vs-lockstep", nets[0], lnets[0])
+	resultsEqual(t, "seq-vs-lockstep", res, lres)
 }
 
-// TestSyncGradSecondEpochAfterOddTail regresses the post-broadcast
-// realignment: with an odd sample count at R=2 the drain broadcast aligns
-// replica 1's update counters to replica 0's (which owned the tail sample),
-// and the reduction barrier must follow — a second epoch used to diverge
-// from (or deadlock against) the stale per-replica counts. Two epochs must
-// stream cleanly, deterministically, and leave the replicas identical.
+// TestSyncGradSecondEpochAfterOddTail covers the epoch after an odd tail:
+// with an odd sample count at R=2 the drain broadcast aligns replica 1's
+// update counters to replica 0's (which owned the tail sample), and the
+// second epoch's rounds start from there. Two epochs must stream cleanly,
+// deterministically, and leave the replicas identical.
 func TestSyncGradSecondEpochAfterOddTail(t *testing.T) {
 	train, _ := data.GaussianBlobs(8, 4, 25, 0, 2.5, 1.0, 37)
 	run := func() ([]*nn.Network, []*Result) {

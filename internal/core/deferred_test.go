@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	stdsync "sync"
 	"testing"
 
 	"repro/internal/data"
@@ -14,7 +13,7 @@ import (
 
 // A dense layer's batch-one weight gradient stays pending as dy ⊗ x until
 // something reads G (nn.Param.PendingOuter). These tests hold the two
-// readers that live in this package — the sync-grad reducer and the
+// readers that live in this package — the sync-grad average and the
 // fill-and-drain accumulation of several batch-one backwards into one G —
 // to the bits of the GEMM path, on inputs with signed zeros, subnormals and
 // products that underflow to a negative zero.
@@ -44,18 +43,15 @@ func gradBits(t *testing.T, what string, a, b *nn.Param) {
 	}
 }
 
-// TestDeferredGradSyncGradReducer runs the sync-grad reducer over R = 3
-// replicas whose dense gradients are still pending, and over the same
-// gradients accumulated by the GEMM. Each replica's hook runs on its own
-// goroutine, as the stage loops do, so the race detector also sees that no
-// replica forms a peer's pending gradient.
-func TestDeferredGradSyncGradReducer(t *testing.T) {
+// TestDeferredGradSyncGradAverage runs the sync-grad per-stage average over
+// R = 3 replicas whose dense gradients are still pending, and over the same
+// gradients accumulated by the GEMM.
+func TestDeferredGradSyncGradAverage(t *testing.T) {
 	const r, in, out = 3, 11, 6
 	rng := rand.New(rand.NewSource(5))
-	reduced := func(deferred bool, dys, xs []*tensor.Tensor) [][]*nn.Param {
-		rd := &gradReducer{counts: make([]int, r), params: [][][]*nn.Param{make([][]*nn.Param, r)}, slots: make([]reduceSlot, 1)}
-		rd.slots[0].cond = stdsync.NewCond(&rd.slots[0].mu)
-		for i := 0; i < r; i++ {
+	averaged := func(deferred bool, dys, xs []*tensor.Tensor) []*PBTrainer {
+		c := &Cluster{stepped: make([]*PBTrainer, r)}
+		for i := range c.stepped {
 			d := nn.NewDense("fc", in, out, true, rand.New(rand.NewSource(1)))
 			d.Weight.ZeroGrad()
 			if !deferred {
@@ -65,28 +61,19 @@ func TestDeferredGradSyncGradReducer(t *testing.T) {
 			if _, _, ok := d.Weight.PendingOuter(); ok != deferred {
 				t.Fatalf("replica %d: pending outer %v, want %v", i, ok, deferred)
 			}
-			rd.counts[i] = 1
-			rd.params[0][i] = d.Params()
+			c.stepped[i] = &PBTrainer{stageSet: stageSet{stages: []*stageState{{params: d.Params()}}}, held: []bool{true}}
 		}
-		var wg stdsync.WaitGroup
-		for i := 0; i < r; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rd.hook(i)(0, rd.params[0][i])
-			}()
-		}
-		wg.Wait()
-		return rd.params[0]
+		c.averageStage(0)
+		return c.stepped
 	}
 	dys, xs := make([]*tensor.Tensor, r), make([]*tensor.Tensor, r)
 	for i := range dys {
 		dys[i], xs[i] = edgeVec(out, rng), edgeVec(in, rng)
 	}
-	got, want := reduced(true, dys, xs), reduced(false, dys, xs)
+	got, want := averaged(true, dys, xs), averaged(false, dys, xs)
 	for i := range got {
-		for j := range got[i] {
-			gradBits(t, "reduced", got[i][j], want[i][j])
+		for j, p := range got[i].StageParams(0) {
+			gradBits(t, "averaged", p, want[i].StageParams(0)[j])
 		}
 	}
 }

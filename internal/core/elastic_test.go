@@ -228,7 +228,7 @@ func TestClusterCancelMidEpochNoLeak(t *testing.T) {
 	for _, engine := range []string{"seq", "lockstep", "async"} {
 		pol := syncpol.Policy(syncpol.AvgEvery{K: 4})
 		if engine == "seq" || engine == "lockstep" {
-			pol = syncpol.SyncGrad{} // exercise the reducer teardown too
+			pol = syncpol.SyncGrad{} // exercise the round-driven teardown too
 		}
 		cfg := ScaledConfig(0.05, 0.9, 32, 2)
 		nets := clusterNets(2, 61)

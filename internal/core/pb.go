@@ -31,11 +31,6 @@ type stageState struct {
 	delay  int
 	// idx is the stage's pipeline position (set at construction).
 	idx int
-	// reduce, when non-nil, is invoked between gradient computation and the
-	// optimizer step of every weight update — the cluster's sync-grad policy
-	// installs a cross-replica averaging barrier here (cluster.go). Nil for
-	// standalone engines.
-	reduce func(stage int, params []*nn.Param)
 	// queue is a ring buffer of pending per-sample contexts: qhead indexes
 	// the oldest entry and qlen counts entries. Outstanding contexts per
 	// stage are bounded (≤ delay+2), so the ring stops growing — and the
@@ -108,9 +103,9 @@ const maxFreeInputs = 8
 // The "seq" engine runs each of a step's two sweeps as a loop; "lockstep"
 // fans them out to per-stage lanes (lockstep.go) and is bit-identical.
 type PBTrainer struct {
-	Net    *nn.Network
-	Cfg    Config
-	stages []*stageState
+	Net *nn.Network
+	Cfg Config
+	stageSet
 	// fwd and bwd hold the activations and gradients arriving at each stage
 	// this step; the sweeps write next step's arrivals into nextFwd and
 	// nextBwd, and Step swaps the pairs.
@@ -122,6 +117,14 @@ type PBTrainer struct {
 	// result the sample whose loss was computed this step.
 	lossGrad *nn.Packet
 	result   *Result
+	// held[i] reports that stage i's gradient sweep left a gradient in G
+	// this step that is not applied yet (a sync-grad cluster's round,
+	// cluster.go, averages and applies it).
+	held []bool
+	// forwardSweep, backwardSweep and gradSweep are forwardStage,
+	// backwardStage and forwardGradStage bound once, so that releasing a
+	// sweep allocates nothing.
+	forwardSweep, backwardSweep, gradSweep func(i int)
 	// lanes runs the sweeps on per-stage goroutines (lockstep; nil = seq).
 	lanes *lanes
 	// pending is the sample Push queued for the next Step.
@@ -191,33 +194,13 @@ func newPBTrainer(net *nn.Network, cfg Config) *PBTrainer {
 	}
 	t.fwd = make([]*inflight, s)
 	t.bwd = make([]*nn.Packet, s)
+	t.held = make([]bool, s)
+	t.forwardSweep, t.backwardSweep, t.gradSweep = t.forwardStage, t.backwardStage, t.forwardGradStage
 	t.nextFwd = make([]*inflight, s)
 	t.nextBwd = make([]*nn.Packet, s)
 	attachStageObs(cfg.Obs, t.stages)
 	t.obs = driverProducer(cfg.Obs)
 	return t
-}
-
-// NumStages returns the pipeline depth S.
-func (t *PBTrainer) NumStages() int { return len(t.stages) }
-
-// Delays returns the per-stage gradient delays.
-func (t *PBTrainer) Delays() []int {
-	d := make([]int, len(t.stages))
-	for i, s := range t.stages {
-		d[i] = s.delay
-	}
-	return d
-}
-
-// ObservedDelays returns the maximum forward→backward update gap measured
-// per stage since construction.
-func (t *PBTrainer) ObservedDelays() []int {
-	d := make([]int, len(t.stages))
-	for i, s := range t.stages {
-		d[i] = s.maxObserved
-	}
-	return d
 }
 
 // Outstanding returns the number of samples currently in the pipeline.
@@ -282,29 +265,58 @@ func recycleInput(free *[]*tensor.Tensor, x *tensor.Tensor, ar *tensor.Arena) {
 // returns the result of the sample whose loss was computed this step, if
 // any. On the lockstep engine it panics after Close.
 func (t *PBTrainer) Step() *Result {
+	t.begin()
+	t.sweep(t.forwardSweep)
+	t.sweep(t.backwardSweep)
+	return t.end()
+}
+
+// begin starts a step: the pushed sample, if any, arrives at stage 0.
+func (t *PBTrainer) begin() {
 	if t.pending != nil {
 		t.fwd[0] = t.pending
 		t.pending = nil
 	}
 	t.result = nil
-	if t.lanes != nil {
-		t.lanes.sweep(false) // forward
-		t.lanes.sweep(true)  // backward
-	} else {
-		for i := range t.stages {
-			t.forwardStage(i)
-		}
-		for i := range t.stages {
-			t.backwardStage(i)
-		}
-	}
-	// Both sweeps consumed every arrival, so fwd and bwd are all nil again
-	// and become the next step's outputs.
+}
+
+// end finishes a step whose sweeps have run and returns its result, if any.
+// The forward and backward sweeps consumed every arrival, so fwd and bwd are
+// all nil again and become the next step's outputs.
+func (t *PBTrainer) end() *Result {
 	t.fwd, t.nextFwd = t.nextFwd, t.fwd
 	t.bwd, t.nextBwd = t.nextBwd, t.bwd
 	t.updateStep++
 	t.Steps++
 	return t.result
+}
+
+// sweep runs f(i), stage i's part of one sweep, for every stage i and
+// returns once all of them are done. A sweep's parts are independent of
+// each other.
+func (t *PBTrainer) sweep(f func(i int)) {
+	t.release(f)
+	t.wait()
+}
+
+// release starts f on every stage. The seq engine runs the whole sweep
+// here; lockstep hands f to the lanes, so several pipelines can be
+// released before any of them is waited for.
+func (t *PBTrainer) release(f func(i int)) {
+	if t.lanes != nil {
+		t.lanes.release(f)
+		return
+	}
+	for i := range t.stages {
+		f(i)
+	}
+}
+
+// wait returns once the sweep release started is done on every stage.
+func (t *PBTrainer) wait() {
+	if t.lanes != nil {
+		t.lanes.wait()
+	}
 }
 
 // forwardStage is stage i's half of the forward sweep: it processes the
@@ -334,9 +346,24 @@ func (t *PBTrainer) forwardStage(i int) {
 // backwardStage is stage i's half of the backward sweep: it consumes the
 // gradient that arrived this step (for the last stage, the loss gradient
 // computed this very step) and updates its weights immediately — update
-// size one, no draining. Stage 0 retires the sample; every other stage
-// hands its input gradient to stage i−1 for the next step.
-func (t *PBTrainer) backwardStage(i int) {
+// size one, no draining.
+func (t *PBTrainer) backwardStage(i int) { t.backwardAt(i, false) }
+
+// forwardGradStage is stage i's part of a sync-grad cluster's first sweep:
+// forwardStage, then backwardStage without the update, so the weight
+// gradient stays in G, held for the cluster to average and apply. A stage's
+// forward and backward read only what the previous step left for it (and,
+// at the last stage, its own loss gradient), so running both in one sweep
+// computes what the two sweeps of Step compute.
+func (t *PBTrainer) forwardGradStage(i int) {
+	t.forwardStage(i)
+	t.backwardAt(i, true)
+}
+
+// backwardAt runs stage i's backward and, unless hold is set, its update.
+// Stage 0 retires the sample; every other stage hands its input gradient to
+// stage i−1 for the next step.
+func (t *PBTrainer) backwardAt(i int, hold bool) {
 	var dIn *nn.Packet
 	if i == len(t.stages)-1 {
 		dIn = t.lossGrad
@@ -350,7 +377,13 @@ func (t *PBTrainer) backwardStage(i int) {
 	}
 	st := t.stages[i]
 	st.stall(true)
-	dx := st.runBackward(dIn, t.Cfg.lrAt(t.updateStep))
+	var dx *nn.Packet
+	if hold {
+		dx = st.backward(dIn)
+		t.held[i] = true
+	} else {
+		dx = st.runBackward(dIn, t.lr())
+	}
 	if i == 0 {
 		t.outstanding--
 		t.completed++
@@ -359,6 +392,9 @@ func (t *PBTrainer) backwardStage(i int) {
 		t.nextBwd[i-1] = dx
 	}
 }
+
+// lr is the learning rate of this step's updates.
+func (t *PBTrainer) lr() float64 { return t.Cfg.lrAt(t.updateStep) }
 
 // pending reports the number of contexts (samples) awaiting their backward
 // pass at this stage.
@@ -416,15 +452,6 @@ func (t *PBTrainer) Drain(ctx context.Context) ([]*Result, error) {
 	return rs, nil
 }
 
-// dropPredictions clears ŵ from every stage's G on a quiesced pipeline, so
-// whatever a caller does to weights or optimizer state next is seen by the
-// next forward.
-func (t *PBTrainer) dropPredictions() {
-	for _, st := range t.stages {
-		st.dropPrediction()
-	}
-}
-
 // emitDriver publishes the driver-side view — completed samples and the
 // engine-level queue depth — after a Submit or Drain.
 func (t *PBTrainer) emitDriver(rs []*Result) {
@@ -459,30 +486,8 @@ func (t *PBTrainer) Stats() Stats {
 	if t.Steps > 0 {
 		s.Utilization = float64(2*len(t.stages)*t.completed) / float64(2*len(t.stages)*t.Steps)
 	}
-	for _, st := range t.stages {
-		if st.maxObserved > s.MaxObservedDelay {
-			s.MaxObservedDelay = st.maxObserved
-		}
-	}
+	s.MaxObservedDelay = t.maxObservedDelay()
 	return s
-}
-
-// StageOptimizer exposes stage i's optimizer (for checkpointing and
-// inspection). Stage optimizers are independent; see DESIGN.md.
-func (t *PBTrainer) StageOptimizer(i int) *optim.Momentum { return t.stages[i].opt }
-
-// StageParams exposes stage i's parameters (for checkpointing).
-func (t *PBTrainer) StageParams(i int) []*nn.Param { return t.stages[i].params }
-
-// StageUpdates returns stage i's applied-update counter (for checkpointing).
-func (t *PBTrainer) StageUpdates(i int) int { return t.stages[i].updates }
-
-// SetStageUpdates restores stage i's update counter from a checkpoint. Every
-// restore and replica alignment calls it after writing the stage's state, so
-// it also drops the stage's prediction.
-func (t *PBTrainer) SetStageUpdates(i, updates int) {
-	t.stages[i].updates = updates
-	t.stages[i].dropPrediction()
 }
 
 // UpdateStep returns the global update-step counter (the LR-schedule

@@ -25,6 +25,68 @@ import (
 // DESIGN.md §7 for the scope and the ownership rules). The arena is only
 // ever touched by the goroutine driving the stage.
 
+// stageSet is the stage-indexed view of one pipeline that both engines
+// embed: the geometry, the staleness record and the per-stage state that
+// checkpoints, the cluster and the sync policies read and write. On the
+// free-running engine it is only valid with the pipeline quiesced (after
+// Drain or Close).
+type stageSet struct {
+	stages []*stageState
+}
+
+// NumStages returns the pipeline depth S.
+func (p stageSet) NumStages() int { return len(p.stages) }
+
+// Delays returns the analytic per-stage gradient delays D_s, which every
+// stage's delay was set from.
+func (p stageSet) Delays() []int { return StageDelays(len(p.stages)) }
+
+// ObservedDelays returns the maximum forward→backward update gap measured
+// per stage since construction.
+func (p stageSet) ObservedDelays() []int {
+	d := make([]int, len(p.stages))
+	for i, s := range p.stages {
+		d[i] = s.maxObserved
+	}
+	return d
+}
+
+// maxObservedDelay is the largest entry of ObservedDelays.
+func (p stageSet) maxObservedDelay() int {
+	m := 0
+	for _, s := range p.stages {
+		m = max(m, s.maxObserved)
+	}
+	return m
+}
+
+// StageParams exposes stage i's parameters (for checkpointing).
+func (p stageSet) StageParams(i int) []*nn.Param { return p.stages[i].params }
+
+// StageOptimizer exposes stage i's optimizer (for checkpointing and
+// inspection). Stage optimizers are independent; see DESIGN.md.
+func (p stageSet) StageOptimizer(i int) *optim.Momentum { return p.stages[i].opt }
+
+// StageUpdates returns stage i's applied-update counter (for checkpointing).
+func (p stageSet) StageUpdates(i int) int { return p.stages[i].updates }
+
+// SetStageUpdates restores stage i's update counter from a checkpoint. Every
+// restore and replica alignment calls it after writing the stage's state, so
+// it also drops the stage's prediction.
+func (p stageSet) SetStageUpdates(i, updates int) {
+	p.stages[i].updates = updates
+	p.stages[i].dropPrediction()
+}
+
+// dropPredictions clears ŵ from every stage's G on a quiesced pipeline, so
+// whatever a caller does to weights or optimizer state next is seen by the
+// next forward.
+func (p stageSet) dropPredictions() {
+	for _, st := range p.stages {
+		st.dropPrediction()
+	}
+}
+
 // fwdHorizonFor returns the weight-prediction horizon and form used at the
 // forward pass of stage i in an s-stage pipeline whose stage-i delay is
 // delay. Zero horizon means no prediction.
@@ -168,14 +230,24 @@ func (st *stageState) runForward(in *inflight) *nn.Packet {
 	return out
 }
 
-// runBackward consumes the oldest pending context, performs the stage's
-// backward transformation (under stashed or predicted weights when the
-// mitigation asks for them), applies one weight update at learning rate lr,
-// and returns the input gradient. It touches only stage-local state. With a
+// runBackward is one backward followed by one weight update at learning
+// rate lr: the whole per-sample backward of update size one. With a
 // non-nil arena the gradient packet is consumed and (usually) returned as
 // the output packet. On the fused path the update also leaves the next
 // forward's ŵ in G.
 func (st *stageState) runBackward(dIn *nn.Packet, lr float64) *nn.Packet {
+	dx := st.backward(dIn)
+	st.update(lr)
+	return dx
+}
+
+// backward consumes the oldest pending context, performs the stage's
+// backward transformation (under stashed or predicted weights when the
+// mitigation asks for them), records the sample's staleness and returns
+// the input gradient. The weight gradient is left in G, shrunk when the
+// mitigation asks for it, for update to apply. It touches only stage-local
+// state.
+func (st *stageState) backward(dIn *nn.Packet) *nn.Packet {
 	c := st.pop()
 	st.dropPrediction()
 	var dx *nn.Packet
@@ -209,16 +281,17 @@ func (st *stageState) runBackward(dIn *nn.Packet, lr float64) *nn.Packet {
 	if st.obs != nil {
 		st.obs.Emit(obs.Event{Kind: obs.KindStaleness, Stage: st.idx, Count: int64(gap)})
 	}
+	if g := st.mit.GradShrink; g > 0 && len(st.params) > 0 {
+		optim.ShrinkGradients(st.params, g, float64(st.delay))
+	}
+	return dx
+}
+
+// update applies one weight update at learning rate lr from the gradient
+// backward left in G, and counts it. On the fused path it also leaves the
+// next forward's ŵ in G.
+func (st *stageState) update(lr float64) {
 	if len(st.params) > 0 {
-		if g := st.mit.GradShrink; g > 0 {
-			optim.ShrinkGradients(st.params, g, float64(st.delay))
-		}
-		if st.reduce != nil {
-			// Cross-replica gradient averaging (cluster sync-grad): blocks
-			// until every peer replica's same-numbered update at this stage
-			// has contributed, then all proceed with the identical mean.
-			st.reduce(st.idx, st.params)
-		}
 		st.opt.LR = lr
 		if st.fused() {
 			st.opt.StepPredict(st.params, st.fwdForm, st.fwdH)
@@ -228,7 +301,6 @@ func (st *stageState) runBackward(dIn *nn.Packet, lr float64) *nn.Packet {
 		}
 	}
 	st.updates++
-	return dx
 }
 
 // runLossHead applies the network head to a just-forwarded sample at the

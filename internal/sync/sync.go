@@ -12,13 +12,14 @@
 //     replaces every replica's weights, momentum velocities and (when
 //     tracked) previous weights with the element-wise mean across replicas,
 //     summed in replica-index order so the result is deterministic.
-//   - "sync-grad": per-update gradient averaging. The cluster drives the
-//     replicas in lockstep rounds and, at every stage weight update, replaces
-//     each replica's gradient with the mean across replicas before the
-//     optimizer applies it — the replicated-stage coordination of
-//     PipeDream-2BW (Narayanan et al. 2021), which keeps all replicas
-//     bit-identical and makes PB with R replicas a well-defined algorithm
-//     (effective update size R per stage update) at any R.
+//   - "sync-grad": per-update gradient averaging. The cluster steps the
+//     replicas in rounds of one sample each: every replica computes its
+//     stage gradients and holds them, then each stage's gradient is
+//     replaced by the mean across replicas before the optimizer applies it
+//     — the replicated-stage coordination of PipeDream-2BW (Narayanan et
+//     al. 2021), which keeps all replicas bit-identical and makes PB with R
+//     replicas a well-defined algorithm (effective update size R per stage
+//     update) at any R.
 //
 // The policies only touch state through the Replica interface, which every
 // core engine already satisfies, so the package stays independent of the
@@ -58,10 +59,10 @@ type Policy interface {
 	// Interval is k: the cluster quiesces all replicas and calls Sync after
 	// every k samples per replica. 0 disables periodic syncs.
 	Interval() int
-	// GradReduce reports whether the cluster must drive the replicas in
-	// lockstep rounds with per-update gradient averaging (sync-grad). Such
-	// policies need a stepped inner engine ("seq" or "lockstep") at R > 1;
-	// with a single replica the harness never engages.
+	// GradReduce reports whether the cluster must step the replicas in
+	// rounds with per-update gradient averaging (sync-grad). Such policies
+	// need a stepped inner engine ("seq" or "lockstep") at R > 1; with a
+	// single replica the rounds never engage.
 	GradReduce() bool
 	// SyncOnDrain reports whether Sync also runs when the cluster drains
 	// (end of epoch), so the canonical network reflects every replica.
@@ -115,10 +116,12 @@ func (AvgEvery) SyncOnDrain() bool { return true }
 func (AvgEvery) Sync(replicas []Replica) { AverageState(replicas) }
 
 // SyncGrad is the per-update gradient-averaging policy. The averaging itself
-// happens inside the cluster's reduction barrier (GradReduce); Sync runs at
-// drain and re-broadcasts replica 0's state so an epoch whose sample count
-// does not divide by R (replica 0 always receives the tail updates) leaves
-// every replica bit-identical again.
+// happens in the cluster's rounds (GradReduce): between a round's gradient
+// sweep and its update sweep, each stage's gradient is averaged over the
+// replicas that computed one. Sync runs at drain and re-broadcasts replica
+// 0's state, so an epoch whose sample count does not divide by R (only the
+// tail's owners step in its last round) leaves every replica bit-identical
+// again.
 type SyncGrad struct{}
 
 // Name implements Policy.
