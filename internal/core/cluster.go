@@ -292,8 +292,8 @@ func (c *Cluster) RemoveReplica(i int) error {
 // AddReplica joins a new replica over net to a quiesced cluster. The joiner
 // is built as the same engine kind as the founders, receives the (R+1)-way
 // worker share of the newest slot, and adopts the canonical replica's full
-// training state (weights, optimizer state, update counters — sync.AlignTo),
-// so it participates in the very next round without perturbing its peers.
+// training state (sync.AlignTo: weights, optimizer state, update counters,
+// schedule step), so it joins the very next round without perturbing peers.
 // The shard routing re-partitions from the current cursor on and the change
 // point is a sync boundary (membershipChanged).
 func (c *Cluster) AddReplica(net *nn.Network) error {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/sched"
 	syncpol "repro/internal/sync"
 )
 
@@ -221,6 +222,43 @@ func TestSyncGradSecondEpochAfterOddTail(t *testing.T) {
 	if len(resA) != 2*train.Len() {
 		t.Fatalf("released %d results over two epochs, want %d", len(resA), 2*train.Len())
 	}
+}
+
+// TestSyncGradReplicasShareScheduleStep pins the LR-schedule position as
+// replica state. An odd tail gives replica 0 one more step than replica 1;
+// the drain broadcast must align the step along with the weights, or a
+// schedule milestone inside the next epoch decays the replicas' LR in
+// different rounds and their weights part. A joiner adopts the canonical
+// step too, instead of replaying the schedule from step 0.
+func TestSyncGradReplicasShareScheduleStep(t *testing.T) {
+	train, _ := data.GaussianBlobs(8, 4, 25, 0, 2.5, 1.0, 37)
+	cfg := ScaledConfig(0.05, 0.9, 32, 1)
+	cfg.Schedule = sched.MultiStep{Base: cfg.LR, Milestones: []int{25}, Gamma: 0.5}
+	nets := clusterNets(2, 61)
+	cl, err := NewCluster(nets, cfg, ClusterConfig{Engine: "seq", Policy: syncpol.SyncGrad{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	steps := func(when string) {
+		t.Helper()
+		want := cl.ReplicaEngine(0).(*PBTrainer).UpdateStep()
+		for r := 1; r < cl.Replicas(); r++ {
+			if got := cl.ReplicaEngine(r).(*PBTrainer).UpdateStep(); got != want {
+				t.Fatalf("%s: replica %d at schedule step %d, replica 0 at %d", when, r, got, want)
+			}
+		}
+	}
+	perm := rand.New(rand.NewSource(4)).Perm(train.Len())
+	feedEpoch(cl, train, perm, false)
+	steps("after the odd epoch")
+	feedSlice(cl, train, perm[:20]) // crosses the milestone mid-epoch
+	weightsEqual(t, "replica0-vs-replica1 past the milestone", nets[0], nets[1])
+	drain(cl)
+	if err := cl.AddReplica(clusterNets(1, 62)[0]); err != nil {
+		t.Fatal(err)
+	}
+	steps("after a join")
 }
 
 // TestClusterShardsMatchDataShard proves the cluster's round-robin routing

@@ -58,19 +58,19 @@ var trajectoryWant = []trajGolden{
 	{"resnet/GradShrink/seq", 0xfe94df8d3c129e30},
 	{"resnet/GradShrink/lockstep", 0xfe94df8d3c129e30},
 	{"cluster/None/avg-every-2", 0x412c2fc57bee15aa},
-	{"cluster/None/sync-grad", 0x3f5f8bc209069af1},
+	{"cluster/None/sync-grad", 0x6035c53f05caa0bd},
 	{"cluster/LWPvDSCD/avg-every-2", 0xf655c03adad33cab},
-	{"cluster/LWPvDSCD/sync-grad", 0xf4e7d622f54fcb95},
+	{"cluster/LWPvDSCD/sync-grad", 0x28930d0b39976d63},
 	{"cluster/LWPwDSCD/avg-every-2", 0xa16d529e6b6bcfe1},
-	{"cluster/LWPwDSCD/sync-grad", 0x0c76f7e542b8248f},
+	{"cluster/LWPwDSCD/sync-grad", 0x8c706335a37fb233},
 	{"cluster/LWP2D/avg-every-2", 0x89fcdcd4ce1f317b},
-	{"cluster/LWP2D/sync-grad", 0xdbfc7ce9a1ab5f9b},
+	{"cluster/LWP2D/sync-grad", 0x27e401b7e6b6f7eb},
 	{"cluster/SpecTrain/avg-every-2", 0xd6d3b89319c7a063},
-	{"cluster/SpecTrain/sync-grad", 0x1e6117b662d06d03},
+	{"cluster/SpecTrain/sync-grad", 0xc7026a4664dbf9b9},
 	{"cluster/WeightStash/avg-every-2", 0xc00a43379d449985},
-	{"cluster/WeightStash/sync-grad", 0x915aa237cb16e236},
+	{"cluster/WeightStash/sync-grad", 0xafc18a41aa1fda68},
 	{"cluster/GradShrink/avg-every-2", 0x457daef27ff96f53},
-	{"cluster/GradShrink/sync-grad", 0x8344917b42ca7955},
+	{"cluster/GradShrink/sync-grad", 0x1f81e0ccc1b381a8},
 }
 
 // trajGolden is one named FNV-64a hash over a run's final state and losses.

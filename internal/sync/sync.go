@@ -37,15 +37,18 @@ import (
 )
 
 // Replica is the per-replica view a Policy coordinates: stage-indexed access
-// to the parameters and optimizer state of one pipeline. Both engine types,
-// PBTrainer (seq, lockstep) and AsyncPBTrainer (async), satisfy it. Policies are only invoked with every replica quiesced
-// (drained), so plain reads and writes are safe.
+// to the parameters and optimizer state of one pipeline, and its
+// LR-schedule position. Both engine types, PBTrainer (seq, lockstep) and
+// AsyncPBTrainer (async), satisfy it. Policies are only invoked with every
+// replica quiesced (drained), so plain reads and writes are safe.
 type Replica interface {
 	NumStages() int
 	StageParams(i int) []*nn.Param
 	StageOptimizer(i int) *optim.Momentum
 	StageUpdates(i int) int
 	SetStageUpdates(i, updates int)
+	UpdateStep() int
+	SetUpdateStep(step int)
 }
 
 // Policy coordinates the parameter state of pipeline replicas. Implementations
@@ -233,8 +236,9 @@ func AverageState(replicas []Replica) {
 }
 
 // Broadcast copies replica from's full training state — weights, velocities,
-// tracked previous weights and per-stage update counters — into every other
-// replica, leaving all replicas bit-identical to the source.
+// tracked previous weights, per-stage update counters and the schedule
+// step — into every other replica, leaving all replicas bit-identical to
+// the source.
 func Broadcast(replicas []Replica, from int) {
 	for r := range replicas {
 		if r != from {
@@ -246,8 +250,9 @@ func Broadcast(replicas []Replica, from int) {
 // AlignTo copies replica from's full training state onto replica to only,
 // leaving every other replica untouched. It is the elastic-join alignment
 // (core.Cluster.AddReplica): a replica joining a running cluster adopts the
-// canonical replica's weights, optimizer state and update counters without
-// disturbing its peers — a full Broadcast would overwrite them, which is
+// canonical replica's weights, optimizer state, update counters and
+// schedule step — so it does not replay the LR schedule from step 0 —
+// without disturbing its peers — a full Broadcast would overwrite them, which is
 // wrong under policies whose replicas legitimately diverge between syncs
 // (avg-every-k, none).
 func AlignTo(replicas []Replica, from, to int) {
@@ -268,4 +273,5 @@ func AlignTo(replicas []Replica, from, to int) {
 		}
 		dst.SetStageUpdates(s, src.StageUpdates(s))
 	}
+	dst.SetUpdateStep(src.UpdateStep())
 }

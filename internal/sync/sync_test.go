@@ -15,6 +15,7 @@ type netReplica struct {
 	net     *nn.Network
 	opts    []*optim.Momentum
 	updates []int
+	step    int
 }
 
 func newNetReplica(seed int64, trackPrev bool) *netReplica {
@@ -33,6 +34,8 @@ func (r *netReplica) StageParams(i int) []*nn.Param        { return r.net.Stages
 func (r *netReplica) StageOptimizer(i int) *optim.Momentum { return r.opts[i] }
 func (r *netReplica) StageUpdates(i int) int               { return r.updates[i] }
 func (r *netReplica) SetStageUpdates(i, u int)             { r.updates[i] = u }
+func (r *netReplica) UpdateStep() int                      { return r.step }
+func (r *netReplica) SetUpdateStep(step int)               { r.step = step }
 
 func TestParse(t *testing.T) {
 	for _, tc := range []struct {
@@ -85,6 +88,7 @@ func scrambleState(r *netReplica, seed int64) {
 		}
 		r.updates[s] = int(seed)
 	}
+	r.step = int(seed)
 }
 
 func TestAverageStateMeansAndDeterminism(t *testing.T) {
@@ -151,6 +155,9 @@ func TestBroadcastCopiesEverything(t *testing.T) {
 	scrambleState(a, 7)
 	scrambleState(b, 8)
 	Broadcast([]Replica{a, b}, 0)
+	if b.step != a.step {
+		t.Fatalf("schedule step %d, want %d", b.step, a.step)
+	}
 	for s := 0; s < a.NumStages(); s++ {
 		if b.updates[s] != a.updates[s] {
 			t.Fatalf("stage %d update counter %d, want %d", s, b.updates[s], a.updates[s])
