@@ -13,8 +13,8 @@ import (
 // sweeps run concurrently and the weight trajectory is bit-identical.
 
 // lanes is the per-stage barrier of a lockstep PBTrainer. start[i] carries
-// the sweep's per-stage function to stage i's lane; every lane reports completion on done.
-// Closing start retires the lanes.
+// the sweep's per-stage function to stage i's lane; every lane reports
+// completion on done. Closing start retires the lanes.
 type lanes struct {
 	start   []chan func(int)
 	done    chan struct{}
