@@ -168,7 +168,7 @@ func (o *Momentum) Step(params []*nn.Param) {
 			if o.TrackPrev {
 				panic("optim: TrackPrev (weight prediction) is f64-only; f32 training excludes delay mitigations")
 			}
-			step(o, p.W.Data32(), p.Grad().Data32(), v)
+			step32(o, p.W.Data32(), p.Grad().Data32(), v)
 			p.ZeroGrad()
 			continue
 		}
@@ -180,11 +180,7 @@ func (o *Momentum) Step(params []*nn.Param) {
 			}
 			copy(prev, p.W.Data)
 		}
-		if a, b, ok := p.PendingOuter(); ok {
-			stepOuter(o, p.W.Data, a.Data, b.Data, v)
-		} else {
-			step(o, p.W.Data, p.Grad().Data, v)
-		}
+		o.stepRows(p, v, false, 0)
 		p.ZeroGrad()
 	}
 }
@@ -193,7 +189,8 @@ func (o *Momentum) Step(params []*nn.Param) {
 // rate lr, spike coefficients (a, b) and weight decay wd: it returns the new
 // weight and velocity for weight w, velocity v and gradient g. Every step
 // loop copies the optimizer's fields into locals once and calls this (it
-// inlines), so they share the arithmetic bit for bit.
+// inlines), so they share the arithmetic bit for bit; the amd64 row kernel
+// (row_amd64.s) performs the same operations in the same order.
 func update(w, v, g, m, lr, a, b, wd float64) (wNew, vNew float64) {
 	if wd != 0 {
 		g += wd * w
@@ -203,31 +200,91 @@ func update(w, v, g, m, lr, a, b, wd float64) (wNew, vNew float64) {
 	return wNew, vNew
 }
 
-// step updates one parameter's weights w from its stored gradient g.
-// Velocity stays float64 at both dtypes — master-precision optimizer state:
-// each weight is widened to f64, updated there, and rounded exactly once on
-// the write back, so an f32 step loses precision only at the final store
-// (the standard mixed-precision recipe). At f64 every conversion is a no-op.
-func step[T tensor.Elem](o *Momentum, w, g []T, v []float64) {
+// step32 updates one f32 parameter's weights w from its stored gradient g.
+// Velocity stays float64 — master-precision optimizer state: each weight is
+// widened to f64, updated there, and rounded exactly once on the write back,
+// so an f32 step loses precision only at the final store (the standard
+// mixed-precision recipe).
+func step32(o *Momentum, w, g []float32, v []float64) {
 	m, lr, ca, cb, wd := o.M, o.LR, o.A, o.B, o.WeightDecay
 	g, v = g[:len(w)], v[:len(w)]
 	for i, wi := range w {
 		wn, vn := update(float64(wi), v[i], float64(g[i]), m, lr, ca, cb, wd)
-		w[i], v[i] = T(wn), vn
+		w[i], v[i] = float32(wn), vn
 	}
 }
 
-// stepOuter is step at f64 for the pending gradient 0 + a⊗b of a
-// [len(a), len(b)] weight: element (r, c) of the gradient is formed where
-// it is used (nn.Outer, as the materialiser forms it), so no pass over G
-// runs.
-func stepOuter(o *Momentum, w, a, b, v []float64) {
-	m, lr, ca, cb, wd := o.M, o.LR, o.A, o.B, o.WeightDecay
-	n := len(b)
-	for r, ar := range a {
-		wr, vr := w[r*n:][:n], v[r*n:][:n]
-		for c, bc := range b {
-			wr[c], vr[c] = update(wr[c], vr[c], nn.Outer(ar, bc), m, lr, ca, cb, wd)
+// rowArgs is one row of the fused f64 update: the coefficient block the row
+// kernel reads (field order is the kernel's layout) and the row's mode.
+type rowArgs struct {
+	m, lr, a, b, wd float64
+	lrt             float64 // lr·T, the velocity-form prediction's step
+	ar              float64 // the row's factor of a pending a⊗b gradient
+	mode            int
+}
+
+// Row modes. With rowOuter element c's gradient is Outer(ar, src[c]), else
+// src[c]; rowDecay is set exactly when wd ≠ 0 (update's test); with
+// rowPredict dst[c] receives ŵ = lwpV(w', v', lrt).
+const (
+	rowOuter = 1 << iota
+	rowDecay
+	rowPredict
+)
+
+// stepRows applies the f64 update to p — from the pending gradient 0 + a⊗b
+// row by row (see nn.Param.PendingOuter), else from the stored G in one
+// row — and, with predict, writes the velocity-form prediction for horizon
+// t into G in the same pass. Every row runs stepRow.
+func (o *Momentum) stepRows(p *nn.Param, v []float64, predict bool, t float64) {
+	k := rowArgs{m: o.M, lr: o.LR, a: o.A, b: o.B, wd: o.WeightDecay, lrt: o.LR * t}
+	if k.wd != 0 {
+		k.mode |= rowDecay
+	}
+	if predict {
+		k.mode |= rowPredict
+	}
+	w := p.W.Data
+	a, b, outer := p.PendingOuter()
+	if !outer {
+		g := p.Grad().Data
+		stepRow(&k, w, v, g, g)
+		return
+	}
+	k.mode |= rowOuter
+	var g, gr []float64
+	if predict {
+		g = p.GradForOverwrite().Data
+	}
+	n := len(b.Data)
+	for r, ar := range a.Data {
+		k.ar = ar
+		if predict {
+			gr = g[r*n:][:n]
+		}
+		stepRow(&k, w[r*n:][:n], v[r*n:][:n], b.Data, gr)
+	}
+}
+
+// stepRowGo is one row of the fused update in scalar Go: the portable path,
+// the amd64 kernel's tail, and its test oracle. src is the gradient row, or
+// with rowOuter the column factor b; dst is written only with rowPredict.
+func stepRowGo(k *rowArgs, w, v, src, dst []float64) {
+	m, lr, ca, cb, wd, lrt, ar := k.m, k.lr, k.a, k.b, k.wd, k.lrt, k.ar
+	outer, predict := k.mode&rowOuter != 0, k.mode&rowPredict != 0
+	v, src = v[:len(w)], src[:len(w)]
+	if predict {
+		dst = dst[:len(w)]
+	}
+	for c, wc := range w {
+		g := src[c]
+		if outer {
+			g = nn.Outer(ar, g)
+		}
+		wn, vn := update(wc, v[c], g, m, lr, ca, cb, wd)
+		w[c], v[c] = wn, vn
+		if predict {
+			dst[c] = lwpV(wn, vn, lrt)
 		}
 	}
 }
@@ -257,35 +314,21 @@ func (o *Momentum) StepPredict(params []*nn.Param, form LWPForm, t float64) {
 				copy(prev, w)
 			}
 		}
-		a, b, outer := p.PendingOuter()
-		switch {
-		case outer && form == LWPWeight:
+		if form == LWPVelocity {
+			o.stepRows(p, v, true, t)
+			continue
+		}
+		if a, b, ok := p.PendingOuter(); ok {
 			stepPredictOuterW(o, w, a.Data, b.Data, p.GradForOverwrite().Data, v, prev, t)
-		case outer:
-			stepPredictOuterV(o, w, a.Data, b.Data, p.GradForOverwrite().Data, v, t)
-		case form == LWPWeight:
+		} else {
 			stepPredictW(o, w, p.Grad().Data, v, prev, t)
-		default:
-			stepPredictV(o, w, p.Grad().Data, v, t)
 		}
 	}
 }
 
-// stepPredictV is step at f64 with the velocity-form prediction (lwpV)
-// folded in: g receives ŵ in place of the gradient.
-func stepPredictV(o *Momentum, w, g, v []float64, t float64) {
-	m, lr, ca, cb, wd := o.M, o.LR, o.A, o.B, o.WeightDecay
-	lrt := lr * t
-	g, v = g[:len(w)], v[:len(w)]
-	for i, wi := range w {
-		wn, vn := update(wi, v[i], g[i], m, lr, ca, cb, wd)
-		w[i], v[i] = wn, vn
-		g[i] = lwpV(wn, vn, lrt)
-	}
-}
-
-// stepPredictW is stepPredictV for the weight form (lwpW); prev receives
-// the weights before the update.
+// stepPredictW is the weight-form (lwpW) StepPredict from a stored
+// gradient: g receives ŵ in place of the gradient, prev the weights before
+// the update. The weight form runs in scalar Go on every GOARCH.
 func stepPredictW(o *Momentum, w, g, v, prev []float64, t float64) {
 	m, lr, ca, cb, wd := o.M, o.LR, o.A, o.B, o.WeightDecay
 	g, v, prev = g[:len(w)], v[:len(w)], prev[:len(w)]
@@ -297,23 +340,8 @@ func stepPredictW(o *Momentum, w, g, v, prev []float64, t float64) {
 	}
 }
 
-// stepPredictOuterV is stepPredictV fed by the pending gradient 0 + a⊗b
-// (see stepOuter); g only receives ŵ.
-func stepPredictOuterV(o *Momentum, w, a, b, g, v []float64, t float64) {
-	m, lr, ca, cb, wd := o.M, o.LR, o.A, o.B, o.WeightDecay
-	lrt := lr * t
-	n := len(b)
-	for r, ar := range a {
-		wr, vr, gr := w[r*n:][:n], v[r*n:][:n], g[r*n:][:n]
-		for c, bc := range b {
-			wn, vn := update(wr[c], vr[c], nn.Outer(ar, bc), m, lr, ca, cb, wd)
-			wr[c], vr[c] = wn, vn
-			gr[c] = lwpV(wn, vn, lrt)
-		}
-	}
-}
-
-// stepPredictOuterW is stepPredictW fed by the pending gradient 0 + a⊗b.
+// stepPredictOuterW is stepPredictW fed by the pending gradient 0 + a⊗b;
+// g only receives ŵ.
 func stepPredictOuterW(o *Momentum, w, a, b, g, v, prev []float64, t float64) {
 	m, lr, ca, cb, wd := o.M, o.LR, o.A, o.B, o.WeightDecay
 	n := len(b)
