@@ -261,6 +261,62 @@ func TestSyncGradReplicasShareScheduleStep(t *testing.T) {
 	steps("after a join")
 }
 
+// TestSyncGradDrainKeepsTail: an epoch's last sample reaches the weights
+// whichever replica owns it. When an epoch's length does not divide by R,
+// its last rounds run on the tail's owners only, so the drain broadcast
+// must start from one of them; from a replica that sat those rounds out it
+// would overwrite the tail's update. Each case trains twice, the runs
+// differing only in the final sample, and replica 0's weights must differ.
+func TestSyncGradDrainKeepsTail(t *testing.T) {
+	train, _ := data.GaussianBlobs(8, 4, 25, 0, 2.5, 1.0, 37)
+	perm := rand.New(rand.NewSource(14)).Perm(train.Len())
+	cases := []struct {
+		name   string
+		epochs [][]int // each fed, then drained
+		join   bool    // AddReplica after the first epoch's drain
+	}{
+		{"R=2/tail-on-replica-0", [][]int{perm}, false},                     // global sample 24
+		{"R=2/tail-on-replica-1", [][]int{perm, perm}, false},               // global sample 49
+		{"R=3-after-join/tail-on-replica-1", [][]int{perm, perm[:4]}, true}, // sample 28, cursor 25 at the join
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(last int) []float64 {
+				nets := clusterNets(2, 81)
+				cl, err := NewCluster(nets, ScaledConfig(0.05, 0.9, 32, 1), ClusterConfig{Engine: "seq", Policy: syncpol.SyncGrad{}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cl.Close()
+				for e, idxs := range c.epochs {
+					if e == len(c.epochs)-1 {
+						idxs = append(idxs[:len(idxs)-1:len(idxs)-1], last)
+					}
+					feedSlice(cl, train, idxs)
+					drain(cl)
+					if e == 0 && c.join {
+						if err := cl.AddReplica(clusterNets(1, 82)[0]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				var w []float64
+				for _, p := range nets[0].Params() {
+					w = append(w, p.W.Data...)
+				}
+				return w
+			}
+			a, b := run(perm[0]), run(perm[1])
+			for i := range a {
+				if a[i] != b[i] {
+					return
+				}
+			}
+			t.Fatal("replacing the epoch's last sample left replica 0's weights unchanged: the drain dropped the tail's update")
+		})
+	}
+}
+
 // TestClusterShardsMatchDataShard proves the cluster's round-robin routing
 // is exactly the data.Shard striding: replica r receives the samples of
 // Shard(perm, r, R), in order.

@@ -58,19 +58,19 @@ var trajectoryWant = []trajGolden{
 	{"resnet/GradShrink/seq", 0xfe94df8d3c129e30},
 	{"resnet/GradShrink/lockstep", 0xfe94df8d3c129e30},
 	{"cluster/None/avg-every-2", 0x412c2fc57bee15aa},
-	{"cluster/None/sync-grad", 0x6035c53f05caa0bd},
+	{"cluster/None/sync-grad", 0x4cd702a14ee6fef1},
 	{"cluster/LWPvDSCD/avg-every-2", 0xf655c03adad33cab},
-	{"cluster/LWPvDSCD/sync-grad", 0x28930d0b39976d63},
+	{"cluster/LWPvDSCD/sync-grad", 0xa7899c72d0bca287},
 	{"cluster/LWPwDSCD/avg-every-2", 0xa16d529e6b6bcfe1},
-	{"cluster/LWPwDSCD/sync-grad", 0x8c706335a37fb233},
+	{"cluster/LWPwDSCD/sync-grad", 0xa9755503edc1904f},
 	{"cluster/LWP2D/avg-every-2", 0x89fcdcd4ce1f317b},
-	{"cluster/LWP2D/sync-grad", 0x27e401b7e6b6f7eb},
+	{"cluster/LWP2D/sync-grad", 0x6d521f08141715fb},
 	{"cluster/SpecTrain/avg-every-2", 0xd6d3b89319c7a063},
-	{"cluster/SpecTrain/sync-grad", 0xc7026a4664dbf9b9},
+	{"cluster/SpecTrain/sync-grad", 0x72fe3c25a3dfc175},
 	{"cluster/WeightStash/avg-every-2", 0xc00a43379d449985},
-	{"cluster/WeightStash/sync-grad", 0xafc18a41aa1fda68},
+	{"cluster/WeightStash/sync-grad", 0x87d1cc1963eb4e74},
 	{"cluster/GradShrink/avg-every-2", 0x457daef27ff96f53},
-	{"cluster/GradShrink/sync-grad", 0x1f81e0ccc1b381a8},
+	{"cluster/GradShrink/sync-grad", 0x99b5d753a7d0b658},
 }
 
 // trajGolden is one named FNV-64a hash over a run's final state and losses.

@@ -121,10 +121,10 @@ func (AvgEvery) Sync(replicas []Replica) { AverageState(replicas) }
 // SyncGrad is the per-update gradient-averaging policy. The averaging itself
 // happens in the cluster's rounds (GradReduce): between a round's gradient
 // sweep and its update sweep, each stage's gradient is averaged over the
-// replicas that computed one. Sync runs at drain and re-broadcasts replica
-// 0's state, so an epoch whose sample count does not divide by R (only the
-// tail's owners step in its last round) leaves every replica bit-identical
-// again.
+// replicas that computed one. Sync runs at drain and re-broadcasts the
+// state of the replica that stepped furthest, so an epoch whose sample
+// count does not divide by R (only the tail's owners step in its last
+// rounds) leaves every replica bit-identical again, tail updates included.
 type SyncGrad struct{}
 
 // Name implements Policy.
@@ -139,8 +139,21 @@ func (SyncGrad) GradReduce() bool { return true }
 // SyncOnDrain implements Policy.
 func (SyncGrad) SyncOnDrain() bool { return true }
 
-// Sync implements Policy.
-func (SyncGrad) Sync(replicas []Replica) { Broadcast(replicas, 0) }
+// Sync implements Policy: it broadcasts from the replica with the largest
+// schedule step, the lowest index on a tie. A replica's step counts the
+// rounds it took part in. Since the last sync every replica took part in
+// each round from the first until its pipeline emptied, and the tail's
+// owners, one sample ahead, empty last. So the source is a tail owner,
+// which alone holds the tail's updates; without a tail it is replica 0.
+func (SyncGrad) Sync(replicas []Replica) {
+	from := 0
+	for r, rep := range replicas {
+		if rep.UpdateStep() > replicas[from].UpdateStep() {
+			from = r
+		}
+	}
+	Broadcast(replicas, from)
+}
 
 // Parse resolves a policy selector: "none" (or ""), "sync-grad", or
 // "avg-every-<k>" with k ≥ 1.
