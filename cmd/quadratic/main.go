@@ -1,10 +1,10 @@
-// Command quadratic regenerates the convex-quadratic analysis figures
-// (Figs. 3-7 and 12) and offers ad-hoc queries: the convergence rate and
-// half-life of any method at a given momentum, normalized rate and delay.
+// Command quadratic answers ad-hoc queries on the convex-quadratic analysis:
+// the convergence rate and half-life of any method at a given momentum,
+// normalized rate and delay. The analysis figures (Figs. 3-7 and 12) print
+// from cmd/experiments -run fig3 … fig12.
 //
 // Usage:
 //
-//	quadratic -fig 5 -scale default
 //	quadratic -method combined -m 0.99 -etalambda 0.01 -delay 4
 package main
 
@@ -13,72 +13,39 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/exp"
 	"repro/internal/quadratic"
 )
 
 func main() {
-	fig := flag.Int("fig", 0, "figure to regenerate: 3, 4, 5, 6, 7 or 12")
-	scaleName := flag.String("scale", "default", "grid size: bench, default, full")
-	method := flag.String("method", "", "ad-hoc query method: gdm, nesterov, scd, lwpd, combined")
-	m := flag.Float64("m", 0.9, "momentum for ad-hoc query")
-	etaLambda := flag.Float64("etalambda", 0.01, "normalized rate ηλ for ad-hoc query")
-	delay := flag.Int("delay", 1, "gradient delay for ad-hoc query")
+	method := flag.String("method", "", "method: gdm, nesterov, scd, lwpd, combined")
+	m := flag.Float64("m", 0.9, "momentum")
+	etaLambda := flag.Float64("etalambda", 0.01, "normalized rate ηλ")
+	delay := flag.Int("delay", 1, "gradient delay")
 	flag.Parse()
 
-	var scale exp.Scale
-	switch *scaleName {
-	case "bench":
-		scale = exp.Bench
-	case "default":
-		scale = exp.Default
-	case "full":
-		scale = exp.Full
+	var meth quadratic.Method
+	switch *method {
+	case "gdm":
+		meth = quadratic.GDM
+	case "nesterov":
+		meth = quadratic.Nesterov
+	case "scd":
+		meth = quadratic.SCD(1)
+	case "lwpd":
+		meth = quadratic.LWPD(1)
+	case "combined":
+		meth = quadratic.Combined(1, 1)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleName)
+		if *method != "" {
+			fmt.Fprintf(os.Stderr, "unknown method %q\n", *method)
+		}
+		fmt.Fprintln(os.Stderr, "usage: quadratic -method gdm|nesterov|scd|lwpd|combined [-m M] [-etalambda ηλ] [-delay D]")
 		os.Exit(2)
 	}
-
-	if *method != "" {
-		var meth quadratic.Method
-		switch *method {
-		case "gdm":
-			meth = quadratic.GDM
-		case "nesterov":
-			meth = quadratic.Nesterov
-		case "scd":
-			meth = quadratic.SCD(1)
-		case "lwpd":
-			meth = quadratic.LWPD(1)
-		case "combined":
-			meth = quadratic.Combined(1, 1)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown method %q\n", *method)
-			os.Exit(2)
-		}
-		r := quadratic.RMax(meth, *m, *etaLambda, *delay)
-		fmt.Printf("%s: m=%g ηλ=%g D=%d → |r_max| = %.6f, half-life = %.4g steps\n",
-			meth.Name(), *m, *etaLambda, *delay, r, quadratic.Halflife(r))
-		// Cross-check with the time-domain simulation.
-		traj := quadratic.SimulateMethod(meth, *m, *etaLambda, *delay, 4000)
-		fmt.Printf("time-domain estimate: %.6f\n", quadratic.EstimateRate(traj))
-		return
-	}
-
-	switch *fig {
-	case 3:
-		exp.Fig3ImpulseResponse(os.Stdout, scale)
-	case 4:
-		exp.Fig4RootHeatmaps(os.Stdout, scale)
-	case 5:
-		exp.Fig5HalflifeVsKappa(os.Stdout, scale)
-	case 6:
-		exp.Fig6HalflifeVsDelay(os.Stdout, scale)
-	case 7:
-		exp.Fig7HorizonMomentum(os.Stdout, scale)
-	case 12:
-		exp.Fig12HorizonScaleQuadratic(os.Stdout, scale)
-	default:
-		fmt.Println("pick -fig 3|4|5|6|7|12 or an ad-hoc -method query")
-	}
+	r := quadratic.RMax(meth, *m, *etaLambda, *delay)
+	fmt.Printf("%s: m=%g ηλ=%g D=%d → |r_max| = %.6f, half-life = %.4g steps\n",
+		meth.Name(), *m, *etaLambda, *delay, r, quadratic.Halflife(r))
+	// Cross-check with the time-domain simulation.
+	traj := quadratic.SimulateMethod(meth, *m, *etaLambda, *delay, 4000)
+	fmt.Printf("time-domain estimate: %.6f\n", quadratic.EstimateRate(traj))
 }

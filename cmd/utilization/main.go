@@ -1,7 +1,8 @@
 // Command utilization prints the fill-and-drain vs pipelined-backpropagation
 // utilization analysis (Fig. 2, Eq. 1) for arbitrary pipeline depths and
-// batch sizes, with optional schedule diagrams. Measured engine throughput
-// and utilization live in the benchmark (go run ./benchmark).
+// batch sizes, with optional schedule diagrams. The table over the paper's
+// depths is Fig. 2 (go run ./cmd/experiments -run fig2); measured engine
+// throughput and utilization live in the benchmark (go run ./benchmark).
 //
 // Usage:
 //
@@ -13,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/schedviz"
 )
 
@@ -21,23 +21,7 @@ func main() {
 	stages := flag.Int("stages", 34, "pipeline depth S")
 	batch := flag.Int("batch", 1, "update size N")
 	diagram := flag.Bool("diagram", false, "print schedule diagrams")
-	sweep := flag.Bool("sweep", false, "print the full sweep table")
 	flag.Parse()
-
-	if *sweep {
-		rows := schedviz.UtilizationTable(
-			[]int{4, 16, 29, 34, 52, 70, 78, 88, 169},
-			[]int{1, 8, 32, 128, 256})
-		tab := metrics.NewTable("STAGES", "BATCH", "FILL&DRAIN", "EQ.1 BOUND", "PIPELINED")
-		for _, r := range rows {
-			tab.AddRow(r.Stages, r.Batch,
-				fmt.Sprintf("%.3f", r.FillDrainUtil),
-				fmt.Sprintf("%.3f", r.Bound),
-				fmt.Sprintf("%.3f", r.PipelineUtil))
-		}
-		fmt.Print(tab.String())
-		return
-	}
 
 	fd := schedviz.FillDrain(*stages, *batch, 1)
 	pb := schedviz.Pipelined(*stages, 10**stages)

@@ -29,7 +29,6 @@ var goroutineFiles = map[[2]string]bool{
 	{"internal/serve", "server.go"}:    true, // admission batcher loop
 	{"cmd/serve", "main.go"}:           true, // HTTP listener + signal wait
 	{"cmd/pbtrain", "main.go"}:         true, // -obs observability HTTP listener
-	{"cmd/loadgen", "main.go"}:         true, // load-generator client workers
 	// internal/chaos is deliberately absent: the chaos scenario layer spawns
 	// ZERO goroutines. Schedule.Delay is a pure function evaluated on the
 	// engines' existing stage goroutines, and Runner drives the cluster from

@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/nn"
 	"repro/internal/optim"
+	syncpol "repro/internal/sync"
 )
 
 // Version is bumped on incompatible format changes. Version 4 is the one
@@ -85,29 +86,17 @@ type State struct {
 	Replicas []Replica
 }
 
-// PipelineTrainer is the per-replica engine surface: stage-indexed access to
-// parameters, optimizers and update counters, plus the global schedule
-// position. Every built-in engine implements it; the pipeline must be
-// quiesced (drained) around Capture and Restore.
-type PipelineTrainer interface {
-	NumStages() int
-	StageParams(i int) []*nn.Param
-	StageOptimizer(i int) *optim.Momentum
-	StageUpdates(i int) int
-	SetStageUpdates(i, updates int)
-	UpdateStep() int
-	SetUpdateStep(step int)
-}
-
 // ClusterTrainer is the surface Capture and Restore work on: replica-indexed
-// networks and pipeline trainers plus the sync clock and shard cursor.
-// *core.Cluster implements it; Pipeline and SGDM view a single engine as one
-// replica. ReplicaEngine is typed any so the core package needs no
-// checkpoint import — the returned engine must implement PipelineTrainer.
+// networks and engines plus the sync clock and shard cursor. *core.Cluster
+// implements it; Pipeline and SGDM view a single engine as one replica. An
+// engine is read through syncpol.Replica, the view the sync policies use:
+// stage-indexed parameters, optimizers and update counters plus the
+// schedule position. Every replica must be quiesced (drained) around
+// Capture and Restore.
 type ClusterTrainer interface {
 	Replicas() int
 	ReplicaNet(i int) *nn.Network
-	ReplicaEngine(i int) any
+	ReplicaEngine(i int) syncpol.Replica
 	PolicyName() string
 	PolicyInterval() int
 	ClusterCursor() (submitted, syncs, lastSync int)
@@ -115,16 +104,14 @@ type ClusterTrainer interface {
 }
 
 // Pipeline views a bare engine as a one-replica cluster with no sync policy.
-// Like a cluster's ReplicaEngine, Engine must implement PipelineTrainer;
-// Capture and Restore report one that does not.
 type Pipeline struct {
 	Net    *nn.Network
-	Engine any
+	Engine syncpol.Replica
 }
 
 func (Pipeline) Replicas() int                                   { return 1 }
 func (p Pipeline) ReplicaNet(int) *nn.Network                    { return p.Net }
-func (p Pipeline) ReplicaEngine(int) any                         { return p.Engine }
+func (p Pipeline) ReplicaEngine(int) syncpol.Replica             { return p.Engine }
 func (Pipeline) PolicyName() string                              { return "" }
 func (Pipeline) PolicyInterval() int                             { return 0 }
 func (Pipeline) ClusterCursor() (submitted, syncs, lastSync int) { return 0, 0, 0 }
@@ -141,7 +128,7 @@ func SGDM(net *nn.Network, opt *optim.Momentum, step *int) Pipeline {
 	return Pipeline{Net: net, Engine: sgdm{params: net.Params(), opt: opt, step: step}}
 }
 
-// sgdm is the one-stage PipelineTrainer behind SGDM.
+// sgdm is the one-stage replica behind SGDM.
 type sgdm struct {
 	params []*nn.Param
 	opt    *optim.Momentum
@@ -155,15 +142,6 @@ func (sgdm) StageUpdates(int) int                 { return 0 }
 func (sgdm) SetStageUpdates(int, int)             {}
 func (m sgdm) UpdateStep() int                    { return *m.step }
 func (m sgdm) SetUpdateStep(step int)             { *m.step = step }
-
-// replicaPipeline asserts replica i's engine down to PipelineTrainer.
-func replicaPipeline(ct ClusterTrainer, i int) (PipelineTrainer, error) {
-	tr, ok := ct.ReplicaEngine(i).(PipelineTrainer)
-	if !ok {
-		return nil, fmt.Errorf("checkpoint: replica %d engine (%T) does not support checkpointing", i, ct.ReplicaEngine(i))
-	}
-	return tr, nil
-}
 
 // Capture snapshots every replica's weights, per-stage optimizer state and
 // schedule position, plus the sync clock and shard cursor. It never mutates
@@ -182,10 +160,7 @@ func Capture(ct ClusterTrainer, meta map[string]string) (*State, error) {
 		Replicas:  make([]Replica, ct.Replicas()),
 	}
 	for i := range st.Replicas {
-		tr, err := replicaPipeline(ct, i)
-		if err != nil {
-			return nil, err
-		}
+		tr := ct.ReplicaEngine(i)
 		var weights []Buffer
 		seen := map[string]bool{}
 		for _, p := range ct.ReplicaNet(i).Params() {
@@ -201,7 +176,7 @@ func Capture(ct ClusterTrainer, meta map[string]string) (*State, error) {
 }
 
 // captureStages copies a trainer's per-stage optimizer state.
-func captureStages(tr PipelineTrainer) []StageState {
+func captureStages(tr syncpol.Replica) []StageState {
 	stages := make([]StageState, tr.NumStages())
 	for i := range stages {
 		stages[i].Updates = tr.StageUpdates(i)
@@ -249,11 +224,7 @@ func Restore(st *State, ct ClusterTrainer) error {
 	}
 	for _, write := range []bool{false, true} {
 		for i := range st.Replicas {
-			tr, err := replicaPipeline(ct, i)
-			if err != nil {
-				return err
-			}
-			if err := loadReplica(&st.Replicas[i], ct.ReplicaNet(i), tr, write); err != nil {
+			if err := loadReplica(&st.Replicas[i], ct.ReplicaNet(i), ct.ReplicaEngine(i), write); err != nil {
 				return fmt.Errorf("checkpoint: replica %d: %w", i, err)
 			}
 		}
@@ -288,7 +259,7 @@ func loadWeights(bufs []Buffer, net *nn.Network, write bool) error {
 
 // loadReplica checks one replica's state against its network and trainer
 // and, when write is set, loads it (see loadWeights).
-func loadReplica(r *Replica, net *nn.Network, tr PipelineTrainer, write bool) error {
+func loadReplica(r *Replica, net *nn.Network, tr syncpol.Replica, write bool) error {
 	if len(r.Stages) != tr.NumStages() {
 		return fmt.Errorf("snapshot has %d stages, trainer has %d", len(r.Stages), tr.NumStages())
 	}

@@ -244,7 +244,7 @@ func TestCaptureDoesNotMutateOptimizer(t *testing.T) {
 	}
 }
 
-// TestPipelineCheckpointAcrossEngines exercises PipelineTrainer on the
+// TestPipelineCheckpointAcrossEngines exercises the checkpoint view on the
 // concurrent engines: the lockstep (parallel) engine resumes exactly, and a
 // drained free-running async engine's state can be captured and restored
 // into a sequential trainer (cross-engine resume; the async trajectory

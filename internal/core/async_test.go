@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -251,7 +252,10 @@ func TestAsyncDrainPartial(t *testing.T) {
 }
 
 // TestAsyncDrainAfterClose pins the Drain-after-Close contract: a no-op on
-// an empty pipeline, a panic (not a hang) with samples in flight.
+// an empty pipeline, a panic (not a hang) with samples in flight. The
+// in-flight sample is parked in stage 0's forward by the StageDelay hook and
+// released only once every other stage loop has exited on Close, so it can
+// never complete.
 func TestAsyncDrainAfterClose(t *testing.T) {
 	asy := NewAsyncPBTrainer(models.DeepMLP(4, 4, 2, 2, 1), Config{LR: 0.01})
 	asy.Close()
@@ -259,17 +263,67 @@ func TestAsyncDrainAfterClose(t *testing.T) {
 		t.Fatalf("drain of closed empty engine returned %v", rs)
 	}
 
-	asy = NewAsyncPBTrainer(models.DeepMLP(6, 8, 6, 3, 1), Config{LR: 0.01})
+	parked, release := make(chan struct{}), make(chan struct{})
+	cfg := Config{LR: 0.01, StageDelay: func(p ChaosPoint) time.Duration {
+		if p.Stage == 0 && !p.Backward {
+			close(parked)
+			<-release
+		}
+		return 0
+	}}
+	// Stage loops of engines closed earlier may still be unwinding, so the
+	// wait below counts only goroutines this engine started.
+	before := asyncWorkers()
+	asy = NewAsyncPBTrainer(models.DeepMLP(6, 8, 6, 3, 1), cfg)
 	train, _ := data.GaussianBlobs(6, 3, 2, 0, 1, 0.5, 1)
 	x, y := train.Sample(0)
-	submit(asy, x, y) // in flight
-	asy.Close()
+	submit(asy, x, y)
+	<-parked
+	closed := make(chan struct{})
+	go func() { asy.Close(); close(closed) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		alive := 0
+		for id := range asyncWorkers() {
+			if !before[id] {
+				alive++
+			}
+		}
+		if alive == 1 { // the parked stage 0
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("stage loops did not exit on Close")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-closed
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on Drain after Close with in-flight samples")
 		}
 	}()
 	drain(asy)
+}
+
+// asyncWorkers returns the IDs of the goroutines NewAsyncPBTrainer started
+// (its stage loops) that have not exited. It matches the creation site, not
+// the worker frame, so a loop not yet scheduled counts too.
+func asyncWorkers() map[string]bool {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	ids := map[string]bool{}
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if strings.Contains(g, "created by repro/internal/core.NewAsyncPBTrainer ") {
+			ids[strings.Fields(g)[1]] = true // "goroutine <id> [<state>]:"
+		}
+	}
+	return ids
 }
 
 // TestAsyncSingleStage covers the S=1 degenerate pipeline, where the only

@@ -35,13 +35,11 @@ import (
 //     mean gradient, so the weight trajectory is deterministic at any R and
 //     the same under seq and lockstep replicas (TestSyncGradDeterministic).
 
-// replicaView is what the cluster needs from each inner engine beyond the
-// Engine interface: the stage-indexed state the sync policies and
-// checkpoints read and write. newEngine returns it, so every engine in the
-// closed set is checked at compile time to satisfy it.
+// replicaView is what the cluster needs from each inner engine beyond
+// PipelineEngine. newEngine returns it, so every engine in the closed set is
+// checked at compile time to satisfy it.
 type replicaView interface {
-	Engine
-	syncpol.Replica
+	PipelineEngine
 	// dropPredictions clears ŵ from every stage's G on a quiesced replica.
 	dropPredictions()
 }
@@ -631,10 +629,8 @@ func (c *Cluster) averageStage(s int) {
 
 // ---- checkpointing (checkpoint.ClusterTrainer) ----
 
-// ReplicaEngine returns replica i's engine; every built-in engine implements
-// checkpoint.PipelineTrainer. Declared as any to keep core free of the
-// checkpoint package (interfaces match structurally at the caller).
-func (c *Cluster) ReplicaEngine(i int) any { return c.engines[i] }
+// ReplicaEngine returns replica i's engine.
+func (c *Cluster) ReplicaEngine(i int) syncpol.Replica { return c.engines[i] }
 
 // PolicyName records the sync policy in snapshots; checkpoint.Restore
 // refuses a snapshot taken under a different policy.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/metrics"
 	"repro/internal/nn"
+	syncpol "repro/internal/sync"
 	"repro/internal/tensor"
 )
 
@@ -89,9 +90,18 @@ var engineNames = []string{"async", "lockstep", "seq"}
 // EngineNames lists the engine selectors NewEngine accepts, sorted.
 func EngineNames() []string { return append([]string(nil), engineNames...) }
 
+// PipelineEngine is an Engine over one pipeline together with the
+// stage-indexed state a sync policy or a checkpoint reads and writes. Every
+// engine NewEngine builds is one, so an engine a Cluster cannot join or a
+// checkpoint cannot capture does not compile.
+type PipelineEngine interface {
+	Engine
+	syncpol.Replica
+}
+
 // NewEngine constructs the named engine; the empty name selects the
 // sequential reference. Callers must Close the result.
-func NewEngine(kind string, net *nn.Network, cfg Config) (Engine, error) {
+func NewEngine(kind string, net *nn.Network, cfg Config) (PipelineEngine, error) {
 	e, err := newEngine(kind, net, cfg)
 	if err != nil {
 		return nil, err

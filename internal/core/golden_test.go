@@ -150,7 +150,7 @@ func trajectoryHashes(t *testing.T) []trajGolden {
 				}
 				h := fnv.New64a()
 				hashLosses(h, runTrajectory(t, eng, net, m.ds))
-				hashReplica(h, eng.(replicaView))
+				hashReplica(h, eng)
 				eng.Close()
 				out = append(out, trajGolden{m.name + "/" + mt.name + "/" + kind, h.Sum64()})
 			}
@@ -178,7 +178,7 @@ func trajectoryHashes(t *testing.T) []trajGolden {
 				hashLosses(h, feedRange(cl, odd, 0, odd.Len()))
 			}
 			for r := 0; r < cl.Replicas(); r++ {
-				hashReplica(h, cl.ReplicaEngine(r).(replicaView))
+				hashReplica(h, cl.ReplicaEngine(r))
 			}
 			cl.Close()
 			out = append(out, trajGolden{"cluster/" + mt.name + "/" + pc.name, h.Sum64()})
@@ -191,7 +191,7 @@ func trajectoryHashes(t *testing.T) []trajGolden {
 // It snapshots the engine after the second third, trains a detour of four
 // samples, restores the snapshot into the same engine and only then trains
 // the last third. It returns every released result.
-func runTrajectory(t *testing.T, eng Engine, net *nn.Network, ds *data.Dataset) []*Result {
+func runTrajectory(t *testing.T, eng PipelineEngine, net *nn.Network, ds *data.Dataset) []*Result {
 	t.Helper()
 	n := ds.Len()
 	rs := feedRange(eng, ds, 0, n/3)
@@ -227,7 +227,7 @@ func hashLosses(h hash.Hash64, rs []*Result) {
 // hashReplica writes one pipeline's weights, then per stage its velocities
 // and tracked previous weights (a length word first, so an untracked buffer
 // hashes differently from an empty one).
-func hashReplica(h hash.Hash64, e replicaView) {
+func hashReplica(h hash.Hash64, e syncpol.Replica) {
 	for s := 0; s < e.NumStages(); s++ {
 		opt := e.StageOptimizer(s)
 		for _, p := range e.StageParams(s) {

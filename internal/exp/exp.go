@@ -38,8 +38,8 @@ type Scale struct {
 
 // Predefined scales.
 var (
-	// Bench is sized for `go test -bench`: every experiment finishes in
-	// roughly a second per iteration.
+	// Bench is sized for `cmd/experiments -scale bench` and the package's
+	// tests: every experiment finishes in roughly a second.
 	Bench = Scale{Name: "bench", ImageSize: 12, Train: 160, Test: 80, Epochs: 1,
 		Width: 4, Seeds: 1, MomentumPoints: 8, RatePoints: 90}
 	// Default is the cmd/experiments default.

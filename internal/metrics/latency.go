@@ -8,7 +8,9 @@ import (
 // This file holds the serving-tier instruments: a bounded latency reservoir
 // with quantile interpolation and a high-water gauge for queue depths. Both
 // are concurrency-safe — the serve layer observes from handler and batcher
-// goroutines while Stats() reads concurrently.
+// goroutines while Stats() reads concurrently. The reservoir also holds the
+// obs.Aggregator's latency window behind /metrics, so served latency has one
+// quantile rule.
 
 // LatencyHist records observations (any unit; the serve layer uses
 // milliseconds) into a bounded ring of the most recent observations.
@@ -43,6 +45,13 @@ func (h *LatencyHist) Observe(v float64) {
 	h.count++
 	h.sum += v
 	h.mu.Unlock()
+}
+
+// Count returns the lifetime observation count.
+func (h *LatencyHist) Count() int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.count
 }
 
 // Mean returns the lifetime mean (0 when empty).

@@ -159,13 +159,6 @@ func TestInstrumentsConcurrent(t *testing.T) {
 	}
 }
 
-// Count returns the lifetime observation count.
-func (h *LatencyHist) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // Quantile returns a single quantile over the retained window.
 func (h *LatencyHist) Quantile(q float64) float64 {
 	return h.Quantiles(q)[0]

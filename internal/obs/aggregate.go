@@ -4,11 +4,15 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Aggregator folds the event stream into a queryable rolling state — the
-// one code path behind the /metrics snapshot, cmd/utilization's live and
-// final numbers, and the snapshot-vs-stream consistency tests. It is a
+// one code path behind the /metrics snapshot (cmd/serve, cmd/pbtrain -obs),
+// the benchmark's bus counters, and the snapshot-vs-stream consistency
+// tests. Served latency folds into a metrics.LatencyHist, the serve tier's
+// own reservoir type, so both report one quantile rule. It is a
 // callback subscriber (SubscribeFunc): the bus pump folds each event in
 // synchronously, so the aggregator needs no goroutine of its own and never
 // loses an event to a bounded buffer — which matters for latest-value
@@ -37,7 +41,7 @@ type Aggregator struct {
 	inferDone int64
 	epoch     int64
 	faults    int64
-	latency   *latencyRing
+	latency   *metrics.LatencyHist
 	// previous-snapshot anchors for windowed rates
 	prevAt        time.Time
 	prevCompleted int64
@@ -50,46 +54,6 @@ type stageAgg struct {
 	prevBusyNs int64 // at the previous snapshot, for windowed utilization
 }
 
-// latencyRing keeps the most recent latency observations for quantiles.
-type latencyRing struct {
-	buf   []float64
-	size  int
-	next  int
-	count int64
-	sum   float64
-}
-
-func (l *latencyRing) observe(v float64) {
-	l.buf[l.next] = v
-	l.next = (l.next + 1) % len(l.buf)
-	if l.size < len(l.buf) {
-		l.size++
-	}
-	l.count++
-	l.sum += v
-}
-
-func (l *latencyRing) quantile(q float64) float64 {
-	if l.size == 0 {
-		return 0
-	}
-	window := append([]float64(nil), l.buf[:l.size]...)
-	sort.Float64s(window)
-	if q <= 0 {
-		return window[0]
-	}
-	if q >= 1 {
-		return window[len(window)-1]
-	}
-	pos := q * float64(len(window)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(window) {
-		return window[lo]
-	}
-	return window[lo] + frac*(window[lo+1]-window[lo])
-}
-
 // NewAggregator attaches an aggregator to the bus as a callback
 // subscriber; every delivered event folds into its state.
 func NewAggregator(b *Bus) *Aggregator {
@@ -98,7 +62,7 @@ func NewAggregator(b *Bus) *Aggregator {
 		prevAt:    time.Now(),
 		stages:    map[int]*stageAgg{},
 		staleness: map[int64]int64{},
-		latency:   &latencyRing{buf: make([]float64, 2048)},
+		latency:   metrics.NewLatencyHist(2048),
 	}
 	a.sub = b.SubscribeFunc(a.ingest)
 	return a
@@ -150,7 +114,7 @@ func (a *Aggregator) fold(ev Event) {
 		a.batches++
 		a.batchSum += ev.Count
 	case KindLatency:
-		a.latency.observe(ev.Value)
+		a.latency.Observe(ev.Value)
 	case KindInferDone:
 		a.inferDone = ev.Count
 	case KindEpoch:
@@ -248,6 +212,7 @@ func (a *Aggregator) Snapshot() Snapshot {
 
 func (a *Aggregator) snapshotLocked() Snapshot {
 	now := time.Now()
+	qs := a.latency.Quantiles(0.5, 0.99)
 	s := Snapshot{
 		Events:            a.events,
 		Dropped:           a.sub.Dropped(),
@@ -262,9 +227,9 @@ func (a *Aggregator) snapshotLocked() Snapshot {
 		InferDone:         a.inferDone,
 		Epoch:             a.epoch,
 		Faults:            a.faults,
-		LatencyCount:      a.latency.count,
-		LatencyP50:        a.latency.quantile(0.5),
-		LatencyP99:        a.latency.quantile(0.99),
+		LatencyCount:      a.latency.Count(),
+		LatencyP50:        qs[0],
+		LatencyP99:        qs[1],
 	}
 	if a.batches > 0 {
 		s.MeanBatch = float64(a.batchSum) / float64(a.batches)

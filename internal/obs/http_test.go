@@ -3,11 +3,14 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 func TestServeMetricsSnapshot(t *testing.T) {
@@ -149,5 +152,35 @@ func TestAggregatorRatesAndHistogram(t *testing.T) {
 	}
 	if len(s.Stages) != 2 || s.Stages[0].Stage != 0 || s.Stages[1].Stage != 4-3 {
 		t.Fatalf("stages = %+v", s.Stages)
+	}
+}
+
+// TestAggregatorLatencyWindow pins the /metrics latency fields past the
+// 2048-sample window: the count stays lifetime-wide and the quantiles
+// cover only the retained window, exactly as a metrics.LatencyHist of that
+// size reports them.
+func TestAggregatorLatencyWindow(t *testing.T) {
+	b := NewBus()
+	defer b.Close()
+	agg := NewAggregator(b)
+	defer agg.Close()
+	p := b.Producer(4096) // holds all 3000 events even if the pump never ran
+	want := metrics.NewLatencyHist(2048)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 3000; i++ {
+		// The evicted first 952 values sit above every retained one, so a
+		// window that kept them would move both quantiles.
+		v := rng.Float64()
+		if i < 3000-2048 {
+			v += 10
+		}
+		p.Emit(Event{Kind: KindLatency, Value: v})
+		want.Observe(v)
+	}
+	waitFor(t, func() bool { return agg.Snapshot().LatencyCount == 3000 })
+	s := agg.Snapshot()
+	qs := want.Quantiles(0.5, 0.99)
+	if s.LatencyP50 != qs[0] || s.LatencyP99 != qs[1] {
+		t.Fatalf("p50/p99 = %v/%v, want %v/%v", s.LatencyP50, s.LatencyP99, qs[0], qs[1])
 	}
 }

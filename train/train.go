@@ -294,7 +294,7 @@ func (t *Trainer) view() checkpoint.ClusterTrainer {
 	if cl, ok := t.eng.(*core.Cluster); ok {
 		return cl
 	}
-	return checkpoint.Pipeline{Net: t.net, Engine: t.eng}
+	return checkpoint.Pipeline{Net: t.net, Engine: t.eng.(core.PipelineEngine)}
 }
 
 // Resume loads a snapshot saved by WithCheckpointEvery (or the checkpoint
