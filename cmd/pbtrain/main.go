@@ -32,6 +32,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/optim"
 	"repro/internal/partition"
+	"repro/internal/schedviz"
 	syncpol "repro/internal/sync"
 	"repro/train"
 )
@@ -269,7 +270,7 @@ func main() {
 	}
 	if !sgdm {
 		fmt.Printf("pipeline utilization %.3f (fill&drain bound at N=1: %.3f)\n",
-			rep.Utilization, core.UtilizationBound(1, rep.Stages))
+			rep.Utilization, schedviz.UtilizationBound(1, rep.Stages))
 		fmt.Printf("observed max staleness per stage ≤ 2(S-1-s): %v\n",
 			rep.ObservedDelays[:min(6, len(rep.ObservedDelays))])
 		if rep.Replicas > 0 {

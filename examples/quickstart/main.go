@@ -19,6 +19,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/schedviz"
 	"repro/train"
 )
 
@@ -57,5 +58,5 @@ func main() {
 	}
 	fmt.Printf("final val acc %.1f%% after %d samples\n", report.ValAcc*100, report.Samples)
 	fmt.Printf("pipeline utilization: %.3f (fill&drain at N=1 would be bounded by %.3f)\n",
-		report.Utilization, core.UtilizationBound(1, report.Stages))
+		report.Utilization, schedviz.UtilizationBound(1, report.Stages))
 }

@@ -25,7 +25,6 @@ var goroutineFiles = map[[2]string]bool{
 	{"internal/tensor", "parallel.go"}: true, // kernel worker group
 	{"internal/core", "lockstep.go"}:   true, // lockstep engine's per-stage lanes
 	{"internal/core", "async.go"}:      true, // async engine stage loops
-	{"internal/obs", "bus.go"}:         true, // metrics-bus pump (fan-out loop)
 	{"internal/serve", "server.go"}:    true, // admission batcher loop
 	{"cmd/serve", "main.go"}:           true, // HTTP listener + signal wait
 	{"cmd/pbtrain", "main.go"}:         true, // -obs observability HTTP listener
@@ -45,6 +44,11 @@ var goroutineFiles = map[[2]string]bool{
 	// steps the replicas sweep by sweep, so lockstep replicas overlap on
 	// their own lanes and the cluster adds no goroutine of its own
 	// (DESIGN.md §10).
+	//
+	// internal/obs is deliberately absent: the metrics bus delivers each
+	// event on the goroutine that emits it (a stage goroutine, an engine
+	// driver, the serving batcher), so observation adds no goroutine and
+	// no queue of its own (DESIGN.md §13).
 }
 
 func runGoroutineBudget(pass *Pass) {

@@ -111,15 +111,9 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 
 	rep := &Report{Name: spec.Name, Samples: spec.Samples * spec.Epochs}
 
-	var prod *obspkg.Producer
-	if r.Bus != nil {
-		prod = r.Bus.Producer(256)
-	}
 	emitFault := func(code FaultKind, replica, stage, cursor int) {
-		if prod != nil {
-			prod.Emit(obspkg.Event{Kind: obspkg.KindFault, Stage: stage, Replica: replica,
-				Count: int64(code), Value: float64(cursor)})
-		}
+		r.Bus.Emit(obspkg.Event{Kind: obspkg.KindFault, Stage: stage, Replica: replica,
+			Count: int64(code), Value: float64(cursor)})
 	}
 
 	// Epoch permutations are one deterministic stream: epoch e's order only
@@ -208,10 +202,10 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 				return rep, err
 			}
 			lastEpochDrain = t
-			if prod != nil {
+			if r.Bus != nil {
 				e := t / spec.Samples
 				mean, _ := epochMean(e - 1)
-				prod.Emit(obspkg.Event{Kind: obspkg.KindEpoch, Stage: -1, Replica: -1, Count: int64(e), Value: mean})
+				r.Bus.Emit(obspkg.Event{Kind: obspkg.KindEpoch, Stage: -1, Replica: -1, Count: int64(e), Value: mean})
 			}
 		}
 		for elasticIdx < len(sched.elastic) && sched.elastic[elasticIdx].AtSample == t {

@@ -36,12 +36,9 @@ type asyncStage struct {
 }
 
 // emitObs publishes the stage's cumulative busy time and current forward
-// queue depth onto the bus. Called only from the stage's own goroutine
-// (single-producer ring); a nil producer discards.
+// queue depth onto the bus. Called only from the stage's own goroutine; a
+// nil bus discards.
 func (st *asyncStage) emitObs() {
-	if st.obs == nil {
-		return
-	}
 	st.obs.Emit(obs.Event{Kind: obs.KindStageBusy, Stage: st.idx, Count: st.busyNs})
 	st.obs.Emit(obs.Event{Kind: obs.KindQueueDepth, Stage: st.idx, Count: int64(len(st.fwdIn))})
 }
@@ -110,8 +107,6 @@ type AsyncPBTrainer struct {
 	running bool
 	started time.Time
 	wallNs  int64
-	// obsDrv is the driver-side producer for Config.Obs (nil without a bus).
-	obsDrv *obs.Producer
 }
 
 // NewAsyncPBTrainer builds the engine around the same per-stage state as
@@ -142,9 +137,6 @@ func NewAsyncPBTrainer(net *nn.Network, cfg Config) *AsyncPBTrainer {
 	// becomes per-stage kernel workers, front-loaded onto the early stages,
 	// whose kernels dominate the uneven per-stage FLOPs (workers.go).
 	t.pars = attachPerStageKernelWorkers(inner.stages, cfg.Workers)
-	// Per-stage producers were attached by newPBTrainer; the driver emits
-	// through its own ring.
-	t.obsDrv = driverProducer(cfg.Obs)
 	for i := range t.astages {
 		t.wg.Add(1)
 		go t.worker(i)
@@ -305,7 +297,7 @@ func (t *AsyncPBTrainer) Drain(ctx context.Context) ([]*Result, error) {
 		t.running = false
 	}
 	t.emitDriver(rs)
-	emitDrainSummary(t.obsDrv, t.Stats())
+	emitDrainSummary(t.Cfg.Obs, t.Stats())
 	return rs, nil
 }
 
@@ -321,11 +313,8 @@ func (t *AsyncPBTrainer) cancelled(ctx context.Context, rs []*Result) ([]*Result
 // emitDriver publishes the driver-side view — harvested completions and the
 // engine-level queue depth — after a Submit or Drain.
 func (t *AsyncPBTrainer) emitDriver(rs []*Result) {
-	if t.obsDrv == nil {
-		return
-	}
-	emitResults(t.obsDrv, int(t.completed.Load()), rs)
-	t.obsDrv.Emit(obs.Event{Kind: obs.KindQueueDepth, Stage: -1, Count: int64(t.Outstanding())})
+	emitResults(t.Cfg.Obs, int(t.completed.Load()), rs)
+	t.Cfg.Obs.Emit(obs.Event{Kind: obs.KindQueueDepth, Stage: -1, Count: int64(t.Outstanding())})
 }
 
 // Close terminates the stage goroutines. Idempotent; in-flight samples are

@@ -102,13 +102,6 @@ type Cluster struct {
 	// step. admitted counts the samples pushed since the last round.
 	stepped  []*PBTrainer
 	admitted int
-
-	// obs is the cluster's driver-side producer for Config.Obs. The cluster
-	// emits at the driver level only (released results, global queue depth,
-	// sync clock, drain summary); the replica engines are built with Obs
-	// stripped, since their per-stage emits would interleave R replicas'
-	// stage indices onto one stream indistinguishably.
-	obs *obspkg.Producer
 }
 
 // NewCluster builds a cluster over the given replica networks. The networks
@@ -146,7 +139,6 @@ func NewCluster(nets []*nn.Network, cfg Config, cc ClusterConfig) (*Cluster, err
 		ids:        make([][]int, r),
 		pending:    map[int]*Result{},
 	}
-	c.obs = driverProducer(cfg.Obs)
 	shares := replicaShares(cfg.Workers, r)
 	for i, net := range nets {
 		rv, err := c.buildReplica(net, shares[i])
@@ -165,13 +157,16 @@ func NewCluster(nets []*nn.Network, cfg Config, cc ClusterConfig) (*Cluster, err
 }
 
 // buildReplica constructs one inner engine over net with the given kernel-
-// worker share. The replica's Obs is stripped (the cluster emits driver-level
-// only) and its fault-injection hook is wrapped so ChaosPoint.Replica carries
-// the replica's join-order identity.
+// worker share. The replica's Obs is stripped: the cluster emits at the
+// driver level only (released results, global queue depth, sync clock,
+// drain summary), since the replicas' per-stage emits would interleave R
+// replicas' stage indices onto one stream indistinguishably. Its
+// fault-injection hook is wrapped so ChaosPoint.Replica carries the
+// replica's join-order identity.
 func (c *Cluster) buildReplica(net *nn.Network, workers int) (replicaView, error) {
 	rcfg := c.cfg
 	rcfg.Workers = workers
-	rcfg.Obs = nil // cluster emits driver-level only (see Cluster.obs)
+	rcfg.Obs = nil
 	if outer := c.cfg.StageDelay; outer != nil {
 		id := c.nextIdentity
 		rcfg.StageDelay = func(p ChaosPoint) time.Duration {
@@ -475,11 +470,8 @@ func (c *Cluster) Submit(ctx context.Context, x *tensor.Tensor, label int) ([]*R
 // emitDriver publishes the cluster's driver-side view — released results and
 // the global in-flight count — after a Submit or Drain.
 func (c *Cluster) emitDriver(rs []*Result) {
-	if c.obs == nil {
-		return
-	}
-	emitResults(c.obs, c.nextOut, rs)
-	c.obs.Emit(obspkg.Event{Kind: obspkg.KindQueueDepth, Stage: -1, Count: int64(c.submitted - c.nextOut)})
+	emitResults(c.cfg.Obs, c.nextOut, rs)
+	c.cfg.Obs.Emit(obspkg.Event{Kind: obspkg.KindQueueDepth, Stage: -1, Count: int64(c.submitted - c.nextOut)})
 }
 
 // runSync executes the policy's sync on the quiesced replicas and advances
@@ -494,7 +486,7 @@ func (c *Cluster) runSync() {
 	}
 	c.syncs++
 	c.lastSync = c.submitted
-	c.obs.Emit(obspkg.Event{Kind: obspkg.KindSyncClock, Stage: -1, Count: int64(c.syncs)})
+	c.cfg.Obs.Emit(obspkg.Event{Kind: obspkg.KindSyncClock, Stage: -1, Count: int64(c.syncs)})
 }
 
 // quiesce drains every replica (in replica order) and returns the released
@@ -537,7 +529,7 @@ func (c *Cluster) Drain(ctx context.Context) ([]*Result, error) {
 		c.runSync()
 	}
 	c.emitDriver(out)
-	emitDrainSummary(c.obs, c.Stats())
+	emitDrainSummary(c.cfg.Obs, c.Stats())
 	return out, nil
 }
 

@@ -158,9 +158,12 @@ type Config struct {
 	Workers int
 	// Obs, when non-nil, is the metrics bus the engine emits observability
 	// events onto (queue depth, staleness, busy time, completions, drain
-	// summaries — see internal/obs and DESIGN.md §13). Events never feed the
-	// training math: a bus-enabled run is bit-identical to a bus-disabled
-	// one. Nil disables emission at the cost of one pointer check per site.
+	// summaries — see internal/obs and DESIGN.md §13). Each event is
+	// delivered on the goroutine that emits it (a stage goroutine or the
+	// caller of Submit/Drain), so once Drain returns every subscriber has
+	// the drain's events. Events never feed the training math: a
+	// bus-enabled run is bit-identical to a bus-disabled one. Nil disables
+	// emission at the cost of one pointer check per site.
 	Obs *obs.Bus
 	// StageDelay, when non-nil, is the fault-injection hook (internal/chaos,
 	// DESIGN.md §14): it is consulted before every stage forward/backward

@@ -10,6 +10,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/schedviz"
 )
 
 func TestStageDelays(t *testing.T) {
@@ -135,7 +136,7 @@ func TestFillDrainEqualsSGD(t *testing.T) {
 	util := fd.Utilization()
 	s := netFD.NumStages()
 	exact := 8.0 / float64(8+2*s-2)
-	bound := UtilizationBound(8, s)
+	bound := schedviz.UtilizationBound(8, s)
 	if math.Abs(util-exact) > 1e-9 {
 		t.Fatalf("utilization %v, want exact %v", util, exact)
 	}
@@ -206,7 +207,7 @@ func TestPBUtilizationApproachesOne(t *testing.T) {
 		t.Fatalf("stats counted %d/%d samples, want %d", st.Completed, st.Submitted, completed)
 	}
 	util := st.Utilization
-	fdBound := UtilizationBound(1, net.NumStages())
+	fdBound := schedviz.UtilizationBound(1, net.NumStages())
 	if util <= fdBound {
 		t.Fatalf("PB utilization %v should far exceed the N=1 fill&drain bound %v", util, fdBound)
 	}
@@ -216,10 +217,10 @@ func TestPBUtilizationApproachesOne(t *testing.T) {
 }
 
 func TestUtilizationBound(t *testing.T) {
-	if got := UtilizationBound(1, 50); math.Abs(got-1.0/101.0) > 1e-12 {
+	if got := schedviz.UtilizationBound(1, 50); math.Abs(got-1.0/101.0) > 1e-12 {
 		t.Fatalf("bound(1,50) = %v", got)
 	}
-	if got := UtilizationBound(256, 10); got <= 0.9 {
+	if got := schedviz.UtilizationBound(256, 10); got <= 0.9 {
 		t.Fatalf("bound(256,10) = %v", got)
 	}
 }

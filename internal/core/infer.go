@@ -144,8 +144,8 @@ type InferConfig struct {
 	// path, bit-identical to the pooled one).
 	Unpooled bool
 	// Obs, when non-nil, is the metrics bus the engine emits lifetime
-	// completion events onto (internal/obs). Emission never blocks a request
-	// and never changes the computed logits.
+	// completion events onto (internal/obs). Emission runs in the request's
+	// goroutine, never waits on a subscriber and never changes the logits.
 	Obs *obs.Bus
 }
 
@@ -160,9 +160,6 @@ type inferReplica struct {
 	cur    *WeightSet
 	arena  *tensor.Arena
 	par    *tensor.Parallel
-	// obs receives completion events; emits happen under mu, so the replica
-	// lock serializes the single-producer ring.
-	obs *obs.Producer
 }
 
 // Infer is the forward-only serving engine. Each request runs the whole
@@ -185,6 +182,8 @@ type Infer struct {
 	submitted atomic.Int64
 	completed atomic.Int64
 	swaps     atomic.Int64
+	// obs is InferConfig.Obs: it receives completion events.
+	obs *obs.Bus
 }
 
 // NewInfer builds the engine over R weight-identical replica networks (one
@@ -198,7 +197,7 @@ func NewInfer(nets []*nn.Network, cfg InferConfig) (*Infer, error) {
 	if err := validateReplicaNets(nets); err != nil {
 		return nil, err
 	}
-	e := &Infer{}
+	e := &Infer{obs: cfg.Obs}
 	net := nets[0]
 	n := net.NumStages()
 	e.dtype = net.DType()
@@ -222,9 +221,6 @@ func NewInfer(nets []*nn.Network, cfg InferConfig) (*Infer, error) {
 		rep := &inferReplica{par: tensor.NewParallel(repBudget[r])}
 		if !cfg.Unpooled {
 			rep.arena = tensor.NewArena()
-		}
-		if cfg.Obs != nil {
-			rep.obs = cfg.Obs.Producer(obsRingCap)
 		}
 		for s := 0; s < n; s++ {
 			rep.stages = append(rep.stages, net.Stages[s])
@@ -303,9 +299,7 @@ func (e *Infer) Infer(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, er
 	logits.CopyFrom(p.X)
 	rep.arena.Put(p.X)
 	done := e.completed.Add(1)
-	if rep.obs != nil {
-		rep.obs.Emit(obs.Event{Kind: obs.KindInferDone, Stage: -1, Count: done})
-	}
+	e.obs.Emit(obs.Event{Kind: obs.KindInferDone, Stage: -1, Count: done})
 	return logits, nil
 }
 

@@ -120,7 +120,6 @@ func TestCancelPublishesResults(t *testing.T) {
 			if engine != "async" && !errors.Is(err, context.Canceled) {
 				t.Fatalf("Drain returned %v, want the cancellation", err)
 			}
-			bus.Close() // the final sweep delivers every ringed event
 			if n := events.Load(); n != int64(got) {
 				t.Fatalf("%d KindSampleDone events for %d returned results", n, got)
 			}
@@ -154,16 +153,9 @@ func TestAggregatorMatchesEngineStats(t *testing.T) {
 			drain(e)
 
 			stats := e.Stats()
-			// The pump delivers asynchronously; wait for the drain summary.
-			deadline := time.Now().Add(5 * time.Second)
-			var snap obs.Snapshot
-			for {
-				snap = agg.Snapshot()
-				if snap.HasEngineStats || time.Now().After(deadline) {
-					break
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
+			// Emit delivers on the emitting goroutine, so the drain's
+			// events are folded by the time Drain returns.
+			snap := agg.Snapshot()
 			if !snap.HasEngineStats {
 				t.Fatal("no KindEngineStats drain summary reached the aggregator")
 			}
@@ -212,17 +204,9 @@ func TestClusterObsEmitsSyncClock(t *testing.T) {
 	if stats.Syncs == 0 {
 		t.Fatal("test harness: no syncs ran")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	var snap obs.Snapshot
-	for {
-		snap = agg.Snapshot()
-		if snap.SyncClock == int64(stats.Syncs) && snap.HasEngineStats {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("aggregator sync clock = %d (engine stats %v), want %d", snap.SyncClock, snap.HasEngineStats, stats.Syncs)
-		}
-		time.Sleep(2 * time.Millisecond)
+	snap := agg.Snapshot()
+	if snap.SyncClock != int64(stats.Syncs) || !snap.HasEngineStats {
+		t.Fatalf("aggregator sync clock = %d (engine stats %v), want %d", snap.SyncClock, snap.HasEngineStats, stats.Syncs)
 	}
 	if snap.Completed != int64(stats.Completed) {
 		t.Fatalf("aggregator completed = %d, cluster Stats().Completed = %d", snap.Completed, stats.Completed)

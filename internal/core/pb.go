@@ -53,11 +53,9 @@ type stageState struct {
 	// labelBuf backs the one-element label slice of the loss head, so the
 	// hot path does not allocate it per sample.
 	labelBuf [1]int
-	// obs, when non-nil, receives the stage's observability events (per-
+	// obs is Config.Obs: it receives the stage's observability events (per-
 	// backward staleness; the async engine adds busy time and queue depth).
-	// Only the goroutine driving the stage emits — one producer ring per
-	// stage keeps the bus topology single-producer (obs.go).
-	obs *obs.Producer
+	obs *obs.Bus
 	// chaos, when non-nil, is Config.StageDelay: the fault-injection hook
 	// consulted (via stall) before each forward/backward transformation.
 	chaos func(ChaosPoint) time.Duration
@@ -142,8 +140,6 @@ type PBTrainer struct {
 	// InputBuffer runs once per sample and Network.DType walks the parameter
 	// list, which would allocate on the steady-state feeding path.
 	dtype tensor.DType
-	// obs is the driver-side producer for Config.Obs (nil without a bus).
-	obs *obs.Producer
 	// pars are the kernel-worker groups this trainer owns (closed by Close).
 	pars []*tensor.Parallel
 }
@@ -169,7 +165,7 @@ func newPBTrainer(net *nn.Network, cfg Config) *PBTrainer {
 	delays := StageDelays(s)
 	t := &PBTrainer{Net: net, Cfg: cfg, dtype: net.DType()}
 	for i, st := range net.Stages {
-		ss := &stageState{stage: st, params: st.Params(), delay: delays[i], idx: i, chaos: cfg.StageDelay,
+		ss := &stageState{stage: st, params: st.Params(), delay: delays[i], idx: i, chaos: cfg.StageDelay, obs: cfg.Obs,
 			mit: cfg.Mitigation, bwdH: bwdHorizonFor(cfg.Mitigation, i)}
 		ss.fwdH, ss.fwdForm = fwdHorizonFor(cfg.Mitigation, s, i, delays[i])
 		ss.swap = make([][]float64, len(ss.params))
@@ -198,8 +194,6 @@ func newPBTrainer(net *nn.Network, cfg Config) *PBTrainer {
 	t.forwardSweep, t.backwardSweep, t.gradSweep = t.forwardStage, t.backwardStage, t.forwardGradStage
 	t.nextFwd = make([]*inflight, s)
 	t.nextBwd = make([]*nn.Packet, s)
-	attachStageObs(cfg.Obs, t.stages)
-	t.obs = driverProducer(cfg.Obs)
 	return t
 }
 
@@ -448,18 +442,15 @@ func (t *PBTrainer) Drain(ctx context.Context) ([]*Result, error) {
 	}
 	t.dropPredictions()
 	t.emitDriver(rs)
-	emitDrainSummary(t.obs, t.Stats())
+	emitDrainSummary(t.Cfg.Obs, t.Stats())
 	return rs, nil
 }
 
 // emitDriver publishes the driver-side view — completed samples and the
 // engine-level queue depth — after a Submit or Drain.
 func (t *PBTrainer) emitDriver(rs []*Result) {
-	if t.obs == nil {
-		return
-	}
-	emitResults(t.obs, t.completed, rs)
-	t.obs.Emit(obs.Event{Kind: obs.KindQueueDepth, Stage: -1, Count: int64(t.outstanding)})
+	emitResults(t.Cfg.Obs, t.completed, rs)
+	t.Cfg.Obs.Emit(obs.Event{Kind: obs.KindQueueDepth, Stage: -1, Count: int64(t.outstanding)})
 }
 
 // TrainEpoch feeds one epoch of the dataset (in the order of perm, or

@@ -3,7 +3,9 @@ package core
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/data"
 	"repro/internal/models"
@@ -186,13 +188,19 @@ func TestLayerSteadyStateAllocs(t *testing.T) {
 // The body runs at GOMAXPROCS=1. With a second core the async stages run
 // in parallel and buffers migrate between per-stage arenas depending on
 // timing, so the free lists miss and the budget flakes (DESIGN.md §7 open
-// defect).
+// defect). Allocation counts are process-wide, so the test first fails if a
+// goroutine an earlier test started is still alive, and it logs the
+// goroutine dump with any budget failure.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
 	}
 	prev := runtime.GOMAXPROCS(1)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	if left := moduleGoroutines(); len(left) > 0 {
+		t.Fatalf("%d goroutines started by earlier tests are still running; allocation counts would include them:\n\n%s",
+			len(left), strings.Join(left, "\n\n"))
+	}
 	imgs := data.CIFAR10Like(8, 32, 0, 1)
 	images, _ := data.GenerateImages(imgs)
 	blobs, _ := data.GaussianBlobs(64, 10, 32, 0, 3, 1, 1)
@@ -250,7 +258,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		}
 		before := arenaMisses(t, eng)
 		if allocs := testing.AllocsPerRun(100, submit); allocs > tc.budget {
-			t.Errorf("%s %s engine (workers=%d, %s): %v allocs per sample, budget %v", tc.model, tc.kind, tc.workers, tc.mit.Name(), allocs, tc.budget)
+			t.Errorf("%s %s engine (workers=%d, %s): %v allocs per sample, budget %v\n\n%s", tc.model, tc.kind, tc.workers, tc.mit.Name(), allocs, tc.budget, goroutineDump())
 		}
 		if tc.kind == "async" {
 			// The stage goroutines own the arena counters: read them only
@@ -262,6 +270,39 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 			t.Errorf("%s %s engine (workers=%d, %s): %d stage-arena misses over the measured window, want 0", tc.model, tc.kind, tc.workers, tc.mit.Name(), misses)
 		}
 		eng.Close()
+	}
+}
+
+// moduleGoroutines returns the stacks of the live goroutines that code in
+// this module started. A goroutine whose engine was just closed can take a
+// moment to leave the scheduler after its WaitGroup is released, so the
+// scan retries for up to a second before reporting what is left.
+func moduleGoroutines() []string {
+	var left []string
+	for try := 0; try < 100; try++ {
+		left = left[:0]
+		for _, g := range strings.Split(goroutineDump(), "\n\n") {
+			if strings.Contains(g, "\ncreated by repro/") {
+				left = append(left, g)
+			}
+		}
+		if len(left) == 0 {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return left
+}
+
+// goroutineDump returns the stacks of every live goroutine.
+func goroutineDump() string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return string(buf[:n])
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
 

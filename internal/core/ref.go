@@ -163,12 +163,6 @@ func (t *FillDrainTrainer) Utilization() float64 {
 	return float64(2*s*t.SamplesDone) / float64(2*s*t.Steps)
 }
 
-// UtilizationBound is the paper's Eq. 1 upper bound on fill-and-drain
-// utilization for update size n and pipeline depth s.
-func UtilizationBound(n, s int) float64 {
-	return float64(n) / float64(n+2*s)
-}
-
 // Optimizer exposes the trainer's optimizer (for checkpointing).
 func (t *SGDTrainer) Optimizer() *optim.Momentum { return t.opt }
 

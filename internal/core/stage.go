@@ -278,9 +278,7 @@ func (st *stageState) backward(dIn *nn.Packet) *nn.Packet {
 	if gap > st.maxObserved {
 		st.maxObserved = gap
 	}
-	if st.obs != nil {
-		st.obs.Emit(obs.Event{Kind: obs.KindStaleness, Stage: st.idx, Count: int64(gap)})
-	}
+	st.obs.Emit(obs.Event{Kind: obs.KindStaleness, Stage: st.idx, Count: int64(gap)})
 	if g := st.mit.GradShrink; g > 0 && len(st.params) > 0 {
 		optim.ShrinkGradients(st.params, g, float64(st.delay))
 	}

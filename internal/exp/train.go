@@ -12,6 +12,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/schedviz"
 )
 
 // cifarTask builds the synthetic CIFAR-10 stand-in at this scale. The
@@ -177,7 +178,7 @@ func Fig16EngineValidation(w io.Writer, s Scale) {
 	tab := metrics.NewTable("Mode", "ValAcc/epoch", "Pipeline util")
 	tab.AddRow("SGDM (batch 16)", fmt.Sprintf("%.1f%%", curves[0][len(curves[0])-1]), "n/a")
 	tab.AddRow("Fill&Drain SGD", fmt.Sprintf("%.1f%%", curves[1][len(curves[1])-1]),
-		fmt.Sprintf("%.3f (Eq.1 bound %.3f)", fd.Utilization(), core.UtilizationBound(16, netB.NumStages())))
+		fmt.Sprintf("%.3f (Eq.1 bound %.3f)", fd.Utilization(), schedviz.UtilizationBound(16, netB.NumStages())))
 	fmt.Fprint(w, tab.String())
 	fmt.Fprintf(w, "max |w_SGD − w_fill&drain| over all parameters: %.2e (identical trajectories)\n", maxDev)
 }

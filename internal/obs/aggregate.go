@@ -13,13 +13,11 @@ import (
 // the benchmark's bus counters, and the snapshot-vs-stream consistency
 // tests. Served latency folds into a metrics.LatencyHist, the serve tier's
 // own reservoir type, so both report one quantile rule. It is a
-// callback subscriber (SubscribeFunc): the bus pump folds each event in
-// synchronously, so the aggregator needs no goroutine of its own and never
-// loses an event to a bounded buffer — which matters for latest-value
-// counters like the lifetime completed count, whose few events per sample
-// a lossy channel would evict whenever high-rate stage instruments flood a
-// starved pump. Call Snapshot to read; call it periodically for live
-// rates.
+// callback subscriber (SubscribeFunc): Emit folds each event in on the
+// emitting goroutine, so the aggregator needs no goroutine of its own,
+// never loses an event to a bounded buffer, and a Snapshot taken after an
+// emitter returns already holds that emitter's events. Call Snapshot to
+// read; call it periodically for live rates.
 type Aggregator struct {
 	sub *Subscriber
 
@@ -68,8 +66,8 @@ func NewAggregator(b *Bus) *Aggregator {
 	return a
 }
 
-// ingest is the pump-invoked fold: one mutex acquisition per event, no
-// blocking operations (the pump must stay fast).
+// ingest is the fold Emit calls: one mutex acquisition per event and no
+// blocking operation, since it runs on the emitting goroutine.
 func (a *Aggregator) ingest(ev Event) {
 	a.mu.Lock()
 	a.fold(ev)
@@ -155,10 +153,9 @@ type HistBucket struct {
 // and slices are sorted, so the JSON encoding is deterministic for a given
 // state.
 type Snapshot struct {
-	// Events counts folded events; Dropped counts events this aggregator
-	// lost in delivery — always 0 since the aggregator became a callback
-	// subscriber (kept for JSON-schema stability; producer-side ring
-	// overflow is still visible via Producer.Dropped).
+	// Events counts folded events. Dropped counts events this aggregator
+	// lost in delivery: always 0, since a callback subscriber never drops
+	// (kept for JSON-schema stability).
 	Events  uint64 `json:"events"`
 	Dropped uint64 `json:"dropped"`
 	// Completed is the engine's lifetime completed-sample count; LastLoss
@@ -201,8 +198,8 @@ type Snapshot struct {
 	Faults int64 `json:"faults"`
 }
 
-// Snapshot returns the current folded view (the pump folds events in as
-// they are delivered). Rates are computed over the window since the
+// Snapshot returns the current folded view (Emit folds events in as they
+// are published). Rates are computed over the window since the
 // previous call.
 func (a *Aggregator) Snapshot() Snapshot {
 	a.mu.Lock()

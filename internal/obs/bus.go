@@ -5,121 +5,95 @@ import (
 	"sync/atomic"
 )
 
-// Bus fans events out from any number of producer rings to any number of
-// subscribers. One pump goroutine (started by NewBus, stopped by Close)
-// drains the producer rings and delivers each event to every subscriber's
-// bounded channel with drop-oldest overflow — a slow subscriber loses its
-// own oldest events and never slows a producer or a sibling subscriber.
+// Bus fans events out to any number of subscribers. Emit delivers each
+// event itself, on the emitting goroutine: it stamps the event's Seq and
+// hands it to every subscriber under the bus lock, so when Emit returns
+// every subscriber has the event. A channel subscriber gets a try-send with
+// drop-oldest overflow — a slow subscriber loses its own oldest events and
+// never slows an emitter or a sibling subscriber. A callback subscriber is
+// called in place and never drops.
 //
-// The hot-path contract lives in Producer.Emit: with no subscriber attached
-// it is one atomic load; it never blocks regardless.
+// The hot-path contract lives in Emit: on a nil bus, or with no subscriber
+// attached, it is one atomic load; it never waits on a subscriber.
 type Bus struct {
 	mu     sync.Mutex
-	prods  []*Producer
 	subs   []*Subscriber
 	closed bool
-
-	// nsubs gates the producer fast path; it counts open subscribers.
-	nsubs atomic.Int32
-	// seq is the fan-out delivery sequence (pump-owned after start).
+	// seq is the delivery sequence, stamped under mu.
 	seq uint64
 
-	ping chan struct{}
-	stop chan struct{}
-	done chan struct{}
-
-	// lens is sweep's scratch buffer of per-ring backlog snapshots
-	// (pump-owned under mu; cached to keep sweeps allocation-free).
-	lens []uint64
+	// nsubs gates the emit fast path; it counts open subscribers.
+	nsubs atomic.Int32
 }
 
-// NewBus builds a bus and starts its pump goroutine.
-func NewBus() *Bus {
-	b := &Bus{
-		ping: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+// NewBus builds a bus. It starts no goroutine.
+func NewBus() *Bus { return &Bus{} }
+
+// Emit publishes one event to every subscriber. A nil bus or a bus with no
+// subscriber returns at once; otherwise Emit takes the bus lock, stamps Seq
+// and delivers. It never allocates and never waits on a subscriber.
+func (b *Bus) Emit(ev Event) {
+	if b == nil || b.nsubs.Load() == 0 {
+		return
 	}
-	go b.pump()
-	return b
+	b.publish(ev)
 }
 
-// Producer registers a new instrument ring of the given capacity (rounded
-// up to a power of two, minimum 64) and returns its producer handle. Each
-// producer is intended for a single emitting goroutine — one ring per
-// instrument. A nil *Producer is valid and ignores every Emit, so callers
-// thread producers through without nil checks.
-func (b *Bus) Producer(capacity int) *Producer {
-	p := &Producer{bus: b, r: newRing(capacity)}
+// publish is Emit's watched path, kept out of line so the gate inlines at
+// every emit site.
+func (b *Bus) publish(ev Event) {
 	b.mu.Lock()
-	b.prods = append(b.prods, p)
+	b.seq++
+	ev.Seq = b.seq
+	for _, s := range b.subs {
+		s.deliver(ev)
+	}
 	b.mu.Unlock()
-	return p
 }
 
 // Subscribe attaches a subscriber with a delivery buffer of the given
 // capacity (default 256 when buf <= 0). The subscriber must be Closed when
-// done — an abandoned subscriber keeps the producer gate open.
+// done — an abandoned subscriber keeps the emit gate open.
 func (b *Bus) Subscribe(buf int) *Subscriber {
 	if buf <= 0 {
 		buf = 256
 	}
-	s := &Subscriber{bus: b, ch: make(chan Event, buf), quit: make(chan struct{})}
+	return b.attach(&Subscriber{bus: b, ch: make(chan Event, buf), quit: make(chan struct{})})
+}
+
+// SubscribeFunc attaches a callback subscriber: Emit calls fn for every
+// event instead of buffering into a channel, so a callback subscriber never
+// drops — the right shape for folding consumers (the Aggregator). fn runs
+// on the emitting goroutine under the bus lock: it must be fast, must never
+// block, must never call back into the bus, and must synchronize any state
+// it shares with readers. C() on a callback subscriber returns nil (select
+// against Done for termination); Close detaches it like any subscriber.
+func (b *Bus) SubscribeFunc(fn func(Event)) *Subscriber {
+	return b.attach(&Subscriber{bus: b, fn: fn, quit: make(chan struct{})})
+}
+
+func (b *Bus) attach(s *Subscriber) *Subscriber {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
 		s.closeQuit() // stillborn: Done is already closed, C never delivers
 		return s
 	}
 	b.subs = append(b.subs, s)
 	b.nsubs.Add(1)
-	b.mu.Unlock()
 	return s
 }
 
-// SubscribeFunc attaches a callback subscriber: the pump invokes fn
-// synchronously for every delivered event instead of buffering into a
-// channel, so a callback subscriber never drops — the right shape for
-// folding consumers (the Aggregator) that need the latest value of
-// low-rate counters, which a bounded lossy channel cannot guarantee under
-// an event flood. fn runs on the fan-out path: it must be fast, must never
-// block, and must synchronize any state it shares with readers. C() on a
-// callback subscriber returns nil (select against Done for termination);
-// Close detaches it like any subscriber.
-func (b *Bus) SubscribeFunc(fn func(Event)) *Subscriber {
-	s := &Subscriber{bus: b, fn: fn, quit: make(chan struct{})}
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		s.closeQuit()
-		return s
-	}
-	b.subs = append(b.subs, s)
-	b.nsubs.Add(1)
-	b.mu.Unlock()
-	return s
-}
-
-// Subscribers reports the number of open subscribers (the producer gate).
+// Subscribers reports the number of open subscribers (the emit gate).
 func (b *Bus) Subscribers() int { return int(b.nsubs.Load()) }
 
-// Close stops the pump after a final sweep (events already ringed are still
-// delivered) and closes every subscriber's Done channel. Idempotent. Emits
-// after Close are discarded by the gate (the subscriber count drops to
-// zero).
+// Close detaches every subscriber and closes its Done channel. Idempotent.
+// Emits after Close are discarded by the gate (the subscriber count drops
+// to zero).
 func (b *Bus) Close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		<-b.done
-		return
-	}
 	b.closed = true
-	b.nsubs.Store(0) // gate producers; the final sweep drains what's ringed
-	b.mu.Unlock()
-	close(b.stop)
-	<-b.done
-	b.mu.Lock()
+	b.nsubs.Store(0)
 	subs := b.subs
 	b.subs = nil
 	b.mu.Unlock()
@@ -128,135 +102,26 @@ func (b *Bus) Close() {
 	}
 }
 
-// pump is the fan-out loop: it sleeps until a producer pings, then sweeps
-// every ring and delivers to every subscriber.
-func (b *Bus) pump() {
-	defer close(b.done)
-	for {
-		select {
-		case <-b.ping:
-			b.sweep()
-		case <-b.stop:
-			b.sweep() // deliver anything already ringed before shutdown
-			return
-		}
-	}
-}
-
-// sweep drains the producer rings with a proportional interleave: it
-// snapshots every ring's backlog, then merges the rings so that each ring's
-// events are spread uniformly across the delivered batch (a Bresenham
-// schedule — ring i contributes one event every maxLen/lens[i] steps). The
-// interleave matters under a starved pump: when one sweep delivers a large
-// backlog into a bounded subscriber, drop-oldest eviction keeps only the
-// batch tail, so whatever ordering the sweep chooses decides which
-// producers survive. Draining ring-by-ring would discard whole rings that
-// registered first; plain one-per-ring round-robin is subtler but just as
-// lossy — a low-rate ring (the driver's ~2 events per sample vs ~3 per
-// stage per sample across dozens of stage rings) exhausts in the earliest
-// passes, landing all its events at the batch front where they are evicted.
-// The proportional merge keeps the retained tail representative of every
-// producer regardless of rate imbalance. It runs under the bus lock:
-// registration and subscription wait for the sweep in flight, but producers
-// never do (they touch only their rings and the ping channel); events
-// pushed after the backlog snapshot are caught by the next pass of the
-// outer loop.
-func (b *Bus) sweep() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for {
-		if cap(b.lens) < len(b.prods) {
-			b.lens = make([]uint64, len(b.prods))
-		}
-		lens := b.lens[:len(b.prods)]
-		var maxLen uint64
-		for i, p := range b.prods {
-			lens[i] = p.r.size()
-			if lens[i] > maxLen {
-				maxLen = lens[i]
-			}
-		}
-		if maxLen == 0 {
-			return
-		}
-		for s := uint64(1); s <= maxLen; s++ {
-			for i, p := range b.prods {
-				if s*lens[i]/maxLen == (s-1)*lens[i]/maxLen {
-					continue
-				}
-				ev, ok := p.r.pop()
-				if !ok {
-					continue
-				}
-				b.seq++
-				ev.Seq = b.seq
-				for _, sub := range b.subs {
-					sub.deliver(ev)
-				}
-			}
-		}
-	}
-}
-
-// unsubscribe removes s and closes the producer gate when it was the last
-// subscriber; leftover ring events are discarded by a final ping-triggered
-// sweep rather than delivered stale to a future subscriber.
+// unsubscribe removes s and closes the emit gate when it was the last
+// subscriber.
 func (b *Bus) unsubscribe(s *Subscriber) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	for i, cur := range b.subs {
 		if cur == s {
 			b.subs = append(b.subs[:i], b.subs[i+1:]...)
 			b.nsubs.Add(-1)
-			break
+			return
 		}
 	}
-	b.mu.Unlock()
-	select {
-	case b.ping <- struct{}{}:
-	default:
-	}
 }
 
-// Producer publishes events into one instrument ring. The zero/nil producer
-// discards everything, so disabled observability costs a nil check.
-type Producer struct {
-	bus *Bus
-	r   *ring
-}
-
-// Emit publishes one event. With no subscriber attached this is one atomic
-// load; otherwise it is a handful of atomic operations on the producer's own
-// ring plus a non-blocking ping. It never blocks and never allocates.
-func (p *Producer) Emit(ev Event) {
-	if p == nil {
-		return
-	}
-	b := p.bus
-	if b.nsubs.Load() == 0 {
-		return
-	}
-	p.r.push(ev)
-	select {
-	case b.ping <- struct{}{}:
-	default:
-	}
-}
-
-// Dropped reports how many of this producer's events were evicted before
-// fan-out (ring overflow under a stalled pump).
-func (p *Producer) Dropped() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.r.dropped()
-}
-
-// Subscriber receives the fanned-out event stream, either over a bounded
-// channel (Subscribe) or through a synchronous callback (SubscribeFunc).
+// Subscriber receives the event stream, either over a bounded channel
+// (Subscribe) or through a synchronous callback (SubscribeFunc).
 type Subscriber struct {
 	bus   *Bus
 	ch    chan Event  // channel subscriber: bounded, drop-oldest
-	fn    func(Event) // callback subscriber: pump-invoked, never drops
+	fn    func(Event) // callback subscriber: called by Emit, never drops
 	quit  chan struct{}
 	once  sync.Once
 	drops atomic.Uint64
@@ -270,7 +135,8 @@ func (s *Subscriber) C() <-chan Event { return s.ch }
 func (s *Subscriber) Done() <-chan struct{} { return s.quit }
 
 // Dropped reports how many events this subscriber lost to drop-oldest
-// delivery (its channel was full when the pump delivered).
+// delivery (its channel was full when an event arrived). Always 0 for a
+// callback subscriber.
 func (s *Subscriber) Dropped() uint64 { return s.drops.Load() }
 
 // Close detaches the subscriber from the bus. Idempotent; pending events
@@ -284,12 +150,12 @@ func (s *Subscriber) closeQuit() {
 	s.once.Do(func() { close(s.quit) })
 }
 
-// deliver hands one event to the subscriber without ever blocking the pump:
-// a callback subscriber folds it synchronously; a channel subscriber gets a
-// try-send, and on a full buffer the pump evicts the subscriber's oldest
-// event and tries once more. The pump is the only sender, so the eviction
-// can only race the subscriber's own receive — in the worst case the
-// receive wins and the retry finds room.
+// deliver hands one event to the subscriber without ever waiting on it: a
+// callback subscriber folds it synchronously; a channel subscriber gets a
+// try-send, and on a full buffer the oldest event is evicted and the send
+// tried once more. Emit calls deliver under the bus lock, so there is one
+// sender at a time and the eviction can only race the subscriber's own
+// receive — in the worst case the receive wins and the retry finds room.
 func (s *Subscriber) deliver(ev Event) {
 	if s.fn != nil {
 		s.fn(ev)

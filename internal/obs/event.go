@@ -1,17 +1,18 @@
-// Package obs is the streaming-observability substrate: a lock-free,
-// bounded, drop-oldest pub/sub metrics bus carrying typed events from the
+// Package obs is the streaming-observability substrate: a bounded,
+// drop-oldest pub/sub metrics bus carrying typed events from the
 // training/inference hot paths to any number of subscribers — the /metrics
 // snapshot endpoint, the /events SSE stream, the benchmark's traced pass and
 // the tests are all just subscribers (DESIGN.md §13).
 //
 // The design constraints come from the engines:
 //
-//   - Publishing must never block a hot path. Producers write into a bounded
-//     per-instrument ring; when it is full the oldest event is dropped, never
-//     the producer's time.
+//   - Publishing never waits on a subscriber. Bus.Emit delivers on the
+//     emitting goroutine: a callback subscriber is called in place, a
+//     channel subscriber gets a try-send that evicts its own oldest event
+//     when the buffer is full. The bus starts no goroutine.
 //   - With a bus attached but nobody subscribed, the publish cost must be
 //     ~zero: one nil check plus one atomic load (the subscriber gate), no
-//     ring traffic, no allocation. TestEmitNeverAllocates pins this.
+//     lock, no allocation. TestEmitNeverAllocates pins this.
 //   - Events never feed back into the training math, so a bus-enabled run is
 //     bit-identical to a bus-disabled one (proven by
 //     core.TestObsDoesNotPerturbTraining).
@@ -117,7 +118,7 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 
 // Event is one typed observation. It is a flat value — no pointers, no
 // heap allocation on publish — whose field meanings are documented per Kind.
-// Seq is assigned by the bus at fan-out time: it is a strictly increasing
+// Seq is assigned by Bus.Emit under the bus lock: it is a strictly increasing
 // delivery sequence shared by all subscribers, so a subscriber can detect
 // its own drops by gaps (and read the count from Subscriber.Dropped).
 type Event struct {

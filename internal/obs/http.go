@@ -15,7 +15,7 @@ import (
 // mounted by the serving tier, so every process exposes observability the
 // same way. The SSE stream subscribes per connection with a bounded buffer:
 // a slow client loses its own oldest events (drop-oldest, surfaced as a
-// "dropped" field on each event batch) and never backpressures a producer.
+// "dropped" field on each event batch) and never backpressures an emitter.
 func Handler(b *Bus, agg *Aggregator) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {

@@ -18,11 +18,8 @@ func TestServeMetricsSnapshot(t *testing.T) {
 	defer b.Close()
 	agg := NewAggregator(b)
 	defer agg.Close()
-	p := b.Producer(64)
-	p.Emit(Event{Kind: KindSampleDone, Count: 42, Value: 0.5})
-	p.Emit(Event{Kind: KindQueueDepth, Stage: -1, Count: 3})
-	// Let the pump fan out before snapshotting.
-	waitFor(t, func() bool { return agg.Snapshot().Completed == 42 })
+	b.Emit(Event{Kind: KindSampleDone, Count: 42, Value: 0.5})
+	b.Emit(Event{Kind: KindQueueDepth, Stage: -1, Count: 3})
 
 	srv := httptest.NewServer(Handler(b, agg))
 	defer srv.Close()
@@ -75,8 +72,7 @@ func TestServeEventsStream(t *testing.T) {
 		t.Fatalf("expected open comment, got %q (err %v)", line, err)
 	}
 
-	p := b.Producer(64)
-	p.Emit(Event{Kind: KindLatency, Value: 1.5})
+	b.Emit(Event{Kind: KindLatency, Value: 1.5})
 	var ev Event
 	for {
 		line, err := rd.ReadString('\n')
@@ -116,18 +112,16 @@ func TestAggregatorRatesAndHistogram(t *testing.T) {
 	defer b.Close()
 	agg := NewAggregator(b)
 	defer agg.Close()
-	p := b.Producer(256)
 	for i := 1; i <= 100; i++ {
-		p.Emit(Event{Kind: KindSampleDone, Count: int64(i), Value: float64(i)})
+		b.Emit(Event{Kind: KindSampleDone, Count: int64(i), Value: float64(i)})
 	}
-	p.Emit(Event{Kind: KindStaleness, Stage: 0, Count: 2})
-	p.Emit(Event{Kind: KindStaleness, Stage: 0, Count: 2})
-	p.Emit(Event{Kind: KindStaleness, Stage: 1, Count: 4})
-	p.Emit(Event{Kind: KindBatch, Count: 8})
-	p.Emit(Event{Kind: KindBatch, Count: 4})
-	p.Emit(Event{Kind: KindLatency, Value: 10})
-	p.Emit(Event{Kind: KindEngineStats, Value: 0.75, Count: 100})
-	waitFor(t, func() bool { return agg.Snapshot().HasEngineStats })
+	b.Emit(Event{Kind: KindStaleness, Stage: 0, Count: 2})
+	b.Emit(Event{Kind: KindStaleness, Stage: 0, Count: 2})
+	b.Emit(Event{Kind: KindStaleness, Stage: 1, Count: 4})
+	b.Emit(Event{Kind: KindBatch, Count: 8})
+	b.Emit(Event{Kind: KindBatch, Count: 4})
+	b.Emit(Event{Kind: KindLatency, Value: 10})
+	b.Emit(Event{Kind: KindEngineStats, Value: 0.75, Count: 100})
 	s := agg.Snapshot()
 	if s.Completed != 100 || s.LastLoss != 100 {
 		t.Fatalf("completed/loss = %d/%v", s.Completed, s.LastLoss)
@@ -164,7 +158,6 @@ func TestAggregatorLatencyWindow(t *testing.T) {
 	defer b.Close()
 	agg := NewAggregator(b)
 	defer agg.Close()
-	p := b.Producer(4096) // holds all 3000 events even if the pump never ran
 	want := metrics.NewLatencyHist(2048)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 3000; i++ {
@@ -174,11 +167,13 @@ func TestAggregatorLatencyWindow(t *testing.T) {
 		if i < 3000-2048 {
 			v += 10
 		}
-		p.Emit(Event{Kind: KindLatency, Value: v})
+		b.Emit(Event{Kind: KindLatency, Value: v})
 		want.Observe(v)
 	}
-	waitFor(t, func() bool { return agg.Snapshot().LatencyCount == 3000 })
 	s := agg.Snapshot()
+	if s.LatencyCount != 3000 {
+		t.Fatalf("latency count = %d, want 3000", s.LatencyCount)
+	}
 	qs := want.Quantiles(0.5, 0.99)
 	if s.LatencyP50 != qs[0] || s.LatencyP99 != qs[1] {
 		t.Fatalf("p50/p99 = %v/%v, want %v/%v", s.LatencyP50, s.LatencyP99, qs[0], qs[1])

@@ -98,27 +98,27 @@ func TestMetricsSnapshotMatchesStats(t *testing.T) {
 	fireRequests(t, ts.URL, n)
 	st := s.Stats()
 
-	// The pump fans out asynchronously; poll /metrics until the fold has
-	// caught up with the batcher's counters.
+	// The batcher emits each request's events before answering it, and
+	// Emit delivers on the batcher goroutine, so once the last response is
+	// in the fold has every event.
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics status %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("/metrics Content-Type %q", ct)
+	}
 	var snap obs.Snapshot
-	waitUntil(t, "metrics fold to catch up", func() bool {
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/metrics status %d", resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-			t.Fatalf("/metrics Content-Type %q", ct)
-		}
-		snap = obs.Snapshot{}
-		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-			t.Fatal(err)
-		}
-		return snap.Batches == st.Batches && snap.LatencyCount == st.Completed
-	})
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Batches != st.Batches || snap.LatencyCount != st.Completed {
+		t.Fatalf("snapshot batches/latency count %d/%d, Stats() %d/%d", snap.Batches, snap.LatencyCount, st.Batches, st.Completed)
+	}
 	if snap.MeanBatch != st.MeanBatch {
 		t.Fatalf("snapshot mean batch %v, Stats() %v", snap.MeanBatch, st.MeanBatch)
 	}
@@ -128,13 +128,13 @@ func TestMetricsSnapshotMatchesStats(t *testing.T) {
 	if snap.LatencyP50 <= 0 || snap.LatencyP99 < snap.LatencyP50 {
 		t.Fatalf("latency quantiles p50=%v p99=%v malformed", snap.LatencyP50, snap.LatencyP99)
 	}
-	resp, err := http.Post(ts.URL+"/metrics", "application/json", strings.NewReader("{}"))
+	post, err := http.Post(ts.URL+"/metrics", "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /metrics status %d, want 405", resp.StatusCode)
+	post.Body.Close()
+	if post.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /metrics status %d, want 405", post.StatusCode)
 	}
 }
 

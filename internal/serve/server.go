@@ -113,13 +113,10 @@ type Server struct {
 	busOnce  sync.Once
 
 	// bus carries the serving tier's event stream; ownBus records whether
-	// Shutdown must close it. agg folds the stream for /metrics; prod is the
-	// batcher goroutine's producer (single-producer ring — only batchLoop
-	// and its callees emit through it).
+	// Shutdown must close it. agg folds the stream for /metrics.
 	bus    *obs.Bus
 	ownBus bool
 	agg    *obs.Aggregator
-	prod   *obs.Producer
 
 	latency      *metrics.LatencyHist
 	depth        *metrics.Gauge
@@ -169,7 +166,6 @@ func New(cfg Config) (*Server, error) {
 		s.ownBus = true
 	}
 	s.agg = obs.NewAggregator(s.bus)
-	s.prod = s.bus.Producer(512)
 	s.wg.Add(1)
 	go s.batchLoop()
 	return s, nil
@@ -264,8 +260,8 @@ func (s *Server) fill(batch *[]*request) {
 func (s *Server) runBatch(batch []*request) {
 	s.batches.Add(1)
 	s.batchSamples.Add(int64(len(batch)))
-	s.prod.Emit(obs.Event{Kind: obs.KindBatch, Stage: -1, Count: int64(len(batch))})
-	s.prod.Emit(obs.Event{Kind: obs.KindQueueDepth, Stage: -1, Count: s.depth.Level()})
+	s.bus.Emit(obs.Event{Kind: obs.KindBatch, Stage: -1, Count: int64(len(batch))})
+	s.bus.Emit(obs.Event{Kind: obs.KindQueueDepth, Stage: -1, Count: s.depth.Level()})
 	shape := append([]int{len(batch)}, s.cfg.InputShape...)
 	x := tensor.New(shape...)
 	for i, r := range batch {
@@ -303,7 +299,7 @@ func (s *Server) answer(r *request, resp response) {
 		s.completed.Add(1)
 		ms := float64(time.Since(r.enq)) / float64(time.Millisecond)
 		s.latency.Observe(ms)
-		s.prod.Emit(obs.Event{Kind: obs.KindLatency, Stage: -1, Value: ms})
+		s.bus.Emit(obs.Event{Kind: obs.KindLatency, Stage: -1, Value: ms})
 	}
 	r.resp <- resp
 }
@@ -342,7 +338,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
-		// The batcher has exited, so the producer is quiet: detach the
+		// The batcher has exited, so its emits are done: detach the
 		// aggregator and, when this server owns the bus, close it (ending
 		// any live /events streams). A shared bus stays open for its owner.
 		s.busOnce.Do(func() {

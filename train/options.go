@@ -260,10 +260,12 @@ func WithAugment(aug data.Augmenter) Option {
 // WithObserver attaches a metrics bus (obs.NewBus) to the run: the engine
 // emits its per-stage queue depths, staleness observations, busy-time
 // accounting and drain summaries onto it, and the Trainer adds a KindEpoch
-// event after every epoch. The caller owns the bus — subscribe an
-// obs.Aggregator or mount obs.Handler for /metrics and /events, and Close it
-// after the Trainer. Observation is passive: a run with a bus attached is
-// bit-identical to one without (core.TestObsDoesNotPerturbTraining).
+// event after every epoch. Events are delivered on the goroutines that emit
+// them, so an obs.Aggregator read after Fit returns holds every event of
+// the Fit. The caller owns the bus — subscribe an obs.Aggregator or mount
+// obs.Handler for /metrics and /events, and Close it after the Trainer.
+// Observation is passive: a run with a bus attached is bit-identical to one
+// without (core.TestObsDoesNotPerturbTraining).
 func WithObserver(bus *obs.Bus) Option {
 	return func(o *options) { o.obsBus = bus }
 }

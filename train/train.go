@@ -63,11 +63,6 @@ type Trainer struct {
 	// engine exists.
 	resume *checkpoint.State
 
-	// obsDrv is the Trainer's own bus producer (KindEpoch events); nil
-	// without WithObserver. Emits happen only on the Fit goroutine, keeping
-	// the ring single-producer.
-	obsDrv *obs.Producer
-
 	// lineage state (WithLineage): the in-memory graph, its config node ID,
 	// and the checkpoint node IDs minted so far (see train/lineage.go).
 	lin       *lineage.Graph
@@ -258,10 +253,6 @@ func (t *Trainer) ensureBuilt(trainSet *data.Dataset, epochs int) error {
 	}
 	t.net = net
 	t.built = true
-	if t.o.obsBus != nil {
-		// Shallow ring: the Trainer emits only one KindEpoch per epoch.
-		t.obsDrv = t.o.obsBus.Producer(64)
-	}
 	t.initLineage()
 	if t.resume != nil {
 		st := t.resume
@@ -416,9 +407,7 @@ func (t *Trainer) Fit(ctx context.Context, trainSet, testSet *data.Dataset, epoc
 		t.epochs++
 		rep.Epochs++
 		rep.TrainLoss, rep.TrainAcc = trainLoss, trainAcc
-		if t.obsDrv != nil {
-			t.obsDrv.Emit(obs.Event{Kind: obs.KindEpoch, Stage: -1, Count: int64(t.epochs), Value: trainLoss})
-		}
+		t.o.obsBus.Emit(obs.Event{Kind: obs.KindEpoch, Stage: -1, Count: int64(t.epochs), Value: trainLoss})
 
 		valLoss, valAcc, hasVal := eval()
 		if hasVal {
