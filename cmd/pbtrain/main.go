@@ -12,7 +12,9 @@
 //	pbtrain -model rn20 -checkpoint rn20.ckpt      # save a resumable snapshot
 //	pbtrain -model rn20 -resume rn20.ckpt          # continue from it
 //	pbtrain -model rn20 -obs :9090                 # live /metrics + /events
-//	pbtrain -model rn20 -lineage LINEAGE_run.json  # record run provenance
+//
+// The -obs listener closes a connection that has not sent its full request
+// headers within 10 s.
 package main
 
 import (
@@ -24,6 +26,7 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -36,6 +39,11 @@ import (
 	syncpol "repro/internal/sync"
 	"repro/train"
 )
+
+// readHeaderTimeout bounds how long an -obs client may take to send its
+// request headers, so a connection that trickles a partial header is closed
+// instead of holding a goroutine and a socket for the whole run.
+const readHeaderTimeout = 10 * time.Second
 
 // mitigations maps method names to presets.
 var mitigations = map[string]core.Mitigation{
@@ -83,7 +91,6 @@ func main() {
 	ckpt := flag.String("checkpoint", "", "save a resumable pipeline snapshot to this file after the final epoch")
 	resume := flag.String("resume", "", "resume weights/optimizer/schedule from this snapshot before training")
 	obsAddr := flag.String("obs", "", "serve live observability (GET /metrics, GET /events) on this address while training")
-	linPath := flag.String("lineage", "", "record run lineage (config → checkpoints → run) to this JSON file")
 	flag.Parse()
 
 	// Validate every selector up front: an unknown model, method or engine
@@ -222,9 +229,6 @@ func main() {
 				fmt.Printf("saved checkpoint to %s\n", e.Path)
 			}))
 	}
-	if *linPath != "" {
-		opts = append(opts, train.WithLineage(*linPath))
-	}
 	if *obsAddr != "" {
 		// Observability sidecar: bind first so a bad address fails loudly
 		// before training starts, then serve /metrics and /events for the
@@ -240,7 +244,8 @@ func main() {
 		}
 		defer ln.Close()
 		fmt.Printf("observability on http://%s (GET /metrics, GET /events)\n", ln.Addr())
-		go func() { _ = http.Serve(ln, obs.Handler(bus, agg)) }()
+		srv := &http.Server{Handler: obs.Handler(bus, agg), ReadHeaderTimeout: readHeaderTimeout}
+		go func() { _ = srv.Serve(ln) }()
 		opts = append(opts, train.WithObserver(bus))
 	}
 

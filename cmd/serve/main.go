@@ -19,12 +19,11 @@
 //	-seed 1             builder seed (initial weights until a swap)
 //	-dtype f64          serving dtype: f64 (bit-exact oracle) or f32 (SIMD
 //	                    kernels; checkpoints narrow once at load)
-//	-lineage path       record serve lineage (checkpoint → serve run) to this
-//	                    JSON file; joins the training run's graph when they
-//	                    share the checkpoint file
 //
 // The handler also exposes GET /metrics (bus aggregator snapshot) and GET
 // /events (live SSE stream): engine and admission events share one bus.
+// A connection that has not sent its full request headers within 10 s is
+// closed.
 package main
 
 import (
@@ -35,18 +34,21 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/obs/lineage"
 	"repro/internal/serve"
 	"repro/internal/tensor"
 	"repro/train"
 )
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a connection that trickles a partial header is closed instead
+// of holding a goroutine and a socket forever.
+const readHeaderTimeout = 10 * time.Second
 
 // modelSpec couples a Builder with its per-sample input shape.
 type modelSpec struct {
@@ -88,49 +90,15 @@ func main() {
 	queue := flag.Int("queue", 64, "admission queue capacity")
 	seed := flag.Int64("seed", 1, "builder seed")
 	dtype := flag.String("dtype", "f64", "serving dtype: f64 (bit-exact oracle) or f32 (SIMD kernels)")
-	linPath := flag.String("lineage", "", "record serve lineage to this JSON file")
 	flag.Parse()
 
-	if err := run(*addr, *model, *ckpt, *dtype, *linPath, *replicas, *kernelWorkers, *batch, *window, *queue, *seed); err != nil {
+	if err := run(*addr, *model, *ckpt, *dtype, *replicas, *kernelWorkers, *batch, *window, *queue, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
 }
 
-// recordLineage extends the lineage graph at linPath with this serve run:
-// the loaded checkpoint's content-addressed node (joining an existing node
-// if a training run already minted one for the same bytes) and a serve run
-// node pointing at it.
-func recordLineage(linPath, ckpt, model, addr string) error {
-	g, err := lineage.Load(linPath)
-	if err != nil {
-		return err
-	}
-	var parents []string
-	if ckpt != "" {
-		h, err := lineage.FileHash(ckpt)
-		if err != nil {
-			return err
-		}
-		// Reuse the training run's checkpoint node when the graph holds one
-		// for these bytes; otherwise mint a parentless one.
-		ckptID := ""
-		for _, n := range g.Nodes {
-			if n.Kind == lineage.KindCheckpoint && n.Attrs["sha256"] == h {
-				ckptID = n.ID
-				break
-			}
-		}
-		if ckptID == "" {
-			ckptID = g.Add(lineage.KindCheckpoint, filepath.Base(ckpt), map[string]string{"sha256": h})
-		}
-		parents = append(parents, ckptID)
-	}
-	g.Add(lineage.KindRun, "serve", map[string]string{"model": model, "addr": addr}, parents...)
-	return g.Write(linPath)
-}
-
-func run(addr, model, ckpt, dtype, linPath string, replicas, kernelWorkers, batch int, window time.Duration, queue int, seed int64) error {
+func run(addr, model, ckpt, dtype string, replicas, kernelWorkers, batch int, window time.Duration, queue int, seed int64) error {
 	spec, err := modelFor(model)
 	if err != nil {
 		return err
@@ -157,13 +125,6 @@ func run(addr, model, ckpt, dtype, linPath string, replicas, kernelWorkers, batc
 	}
 	defer backend.Close()
 
-	if linPath != "" {
-		if err := recordLineage(linPath, ckpt, model, addr); err != nil {
-			return fmt.Errorf("lineage: %w", err)
-		}
-		fmt.Printf("serve: lineage recorded to %s\n", linPath)
-	}
-
 	srv, err := serve.New(serve.Config{
 		Backend:     backend,
 		InputShape:  spec.shape,
@@ -176,7 +137,7 @@ func run(addr, model, ckpt, dtype, linPath string, replicas, kernelWorkers, batc
 		return err
 	}
 
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

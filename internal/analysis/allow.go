@@ -66,11 +66,7 @@ func collectAllows(fset *token.FileSet, files []*ast.File, report func(Diagnosti
 // reportAt emits a malformed-annotation diagnostic under the pseudo-rule
 // "allow", which cannot itself be suppressed.
 func reportAt(fset *token.FileSet, pos token.Pos, report func(Diagnostic), msg string) {
-	p := fset.Position(pos)
-	report(Diagnostic{
-		Rule: "allow", Pos: p, File: p.Filename, Line: p.Line, Col: p.Column,
-		Message: msg,
-	})
+	report(Diagnostic{Rule: "allow", Pos: fset.Position(pos), Message: msg})
 }
 
 func (as *allowSet) add(file, rule string, line int) {

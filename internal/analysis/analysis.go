@@ -33,17 +33,14 @@ import (
 
 // Diagnostic is one finding: a rule violation at a file position.
 type Diagnostic struct {
-	Rule    string         `json:"rule"`
-	Pos     token.Position `json:"-"`
-	File    string         `json:"file"`
-	Line    int            `json:"line"`
-	Col     int            `json:"col"`
-	Message string         `json:"message"`
+	Rule    string
+	Pos     token.Position
+	Message string
 }
 
 // String formats the diagnostic in the conventional file:line:col form.
 func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Rule, d.Message)
+	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
 }
 
 // Pass hands one type-checked package to an analyzer's Run function.
@@ -65,8 +62,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzer is one rule of the suite: a per-package AST analysis.
 type Analyzer struct {
 	Name string
-	// Doc is the one-line invariant statement shown by `repolint -rules`.
-	Doc string
 	// Scope reports whether the rule applies to a package import path.
 	// nil means every package. Packages under internal/analysis/testdata/
 	// are handled by the harness instead (see InScope).
@@ -113,7 +108,7 @@ func Analyzers() []*Analyzer {
 	return all
 }
 
-// ByName resolves a rule name, for flag parsing and allow validation.
+// ByName resolves a rule name, for allow validation.
 func ByName(name string) *Analyzer {
 	for _, a := range Analyzers() {
 		if a.Name == name {

@@ -28,7 +28,6 @@ import (
 // double-releases.
 var ArenaOwner = &Analyzer{
 	Name: "arenaowner",
-	Doc:  "Arena.Get results must be Put, returned, or transferred; no double-Put or loop-alias Put",
 	Run:  runArenaOwner,
 }
 

@@ -19,7 +19,6 @@ import (
 // //lint:allow(ctxselect) annotations explaining why they cannot wedge.
 var CtxSelect = &Analyzer{
 	Name:  "ctxselect",
-	Doc:   "channel ops in internal/core goroutines need a select with a ctx/done/stop case",
 	Scope: func(pkgPath string) bool { return pathHasSuffix(pkgPath, "internal/core") },
 	Run:   runCtxSelect,
 }

@@ -17,7 +17,6 @@ import (
 // uses (busy-time accounting in the async engine, epoch timing in train).
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "no time.Now/global rand/raw map iteration in numeric and engine packages",
 	Scope: func(pkgPath string) bool {
 		for _, s := range []string{"internal/tensor", "internal/nn", "internal/optim", "internal/core", "train"} {
 			if pathHasSuffix(pkgPath, s) {

@@ -87,7 +87,7 @@ func TestGolden(t *testing.T) {
 			for _, w := range wants {
 				found := false
 				for i, d := range diags {
-					if used[i] || filepath.Base(d.File) != w.file || d.Line != w.line {
+					if used[i] || filepath.Base(d.Pos.Filename) != w.file || d.Pos.Line != w.line {
 						continue
 					}
 					if !w.re.MatchString(d.Message) {

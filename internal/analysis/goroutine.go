@@ -15,7 +15,6 @@ import (
 // their lifecycle (who stops them, and when).
 var GoroutineBudget = &Analyzer{
 	Name: "goroutinebudget",
-	Doc:  "`go` statements only in the approved worker files (tensor/parallel.go, core engine loops)",
 	Run:  runGoroutineBudget,
 }
 

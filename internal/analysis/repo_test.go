@@ -64,22 +64,6 @@ func TestCLIFindsTestdataViolations(t *testing.T) {
 	}
 }
 
-// TestCLIJSONOutput pins the machine-readable mode's shape.
-func TestCLIJSONOutput(t *testing.T) {
-	root, err := ModuleRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command("go", "run", "./cmd/repolint", "-json", "./internal/analysis/testdata/goroutinebudget")
-	cmd.Dir = root
-	out, _ := cmd.Output() // exit 1 expected; stdout still carries the JSON
-	for _, frag := range []string{`"rule": "goroutinebudget"`, `"file":`, `"line": 8`, `"message":`} {
-		if !strings.Contains(string(out), frag) {
-			t.Errorf("-json output missing %s:\n%s", frag, out)
-		}
-	}
-}
-
 // TestAllowAnnotationContract pins the malformed-annotation diagnostics:
 // a missing reason, an unknown rule, and a typo'd form each surface as an
 // unsuppressable "allow" finding.

@@ -29,10 +29,7 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnost
 					if allows.allowed(p.Filename, rule, p.Line) {
 						return
 					}
-					diags = append(diags, Diagnostic{
-						Rule: rule, Pos: p, File: p.Filename, Line: p.Line, Col: p.Column,
-						Message: msg,
-					})
+					diags = append(diags, Diagnostic{Rule: rule, Pos: p, Message: msg})
 				},
 			}
 			a.Run(pass)
@@ -40,14 +37,15 @@ func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Diagnost
 	}
 
 	sort.Slice(diags, func(i, j int) bool {
-		if diags[i].File != diags[j].File {
-			return diags[i].File < diags[j].File
+		pi, pj := diags[i].Pos, diags[j].Pos
+		if pi.Filename != pj.Filename {
+			return pi.Filename < pj.Filename
 		}
-		if diags[i].Line != diags[j].Line {
-			return diags[i].Line < diags[j].Line
+		if pi.Line != pj.Line {
+			return pi.Line < pj.Line
 		}
-		if diags[i].Col != diags[j].Col {
-			return diags[i].Col < diags[j].Col
+		if pi.Column != pj.Column {
+			return pi.Column < pj.Column
 		}
 		return diags[i].Rule < diags[j].Rule
 	})

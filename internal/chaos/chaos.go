@@ -174,6 +174,9 @@ func Compile(spec Spec) (*Schedule, error) {
 	if spec.CheckpointEvery < 0 {
 		return nil, fmt.Errorf("chaos: %s: negative checkpoint interval %d", spec.Name, spec.CheckpointEvery)
 	}
+	if spec.AdmitBound < 0 {
+		return nil, fmt.Errorf("chaos: %s: negative admit bound %d", spec.Name, spec.AdmitBound)
+	}
 	if spec.LR == 0 {
 		spec.LR = 0.05
 	}

@@ -109,13 +109,14 @@ func TestCompileValidation(t *testing.T) {
 		return s
 	}
 	bad := map[string]Spec{
-		"no name":       break1(func(s *Spec) { s.Name = "" }),
-		"zero replicas": break1(func(s *Spec) { s.Replicas = 0 }),
-		"zero samples":  break1(func(s *Spec) { s.Samples = 0 }),
-		"zero epochs":   break1(func(s *Spec) { s.Epochs = 0 }),
-		"bad sync":      break1(func(s *Spec) { s.Sync = "avg-every-zero" }),
-		"negative ckpt": break1(func(s *Spec) { s.CheckpointEvery = -1 }),
-		"empty model":   break1(func(s *Spec) { s.Models = []DelayModel{{Replica: -1, Stage: -1}} }),
+		"no name":              break1(func(s *Spec) { s.Name = "" }),
+		"zero replicas":        break1(func(s *Spec) { s.Replicas = 0 }),
+		"zero samples":         break1(func(s *Spec) { s.Samples = 0 }),
+		"zero epochs":          break1(func(s *Spec) { s.Epochs = 0 }),
+		"bad sync":             break1(func(s *Spec) { s.Sync = "avg-every-zero" }),
+		"negative ckpt":        break1(func(s *Spec) { s.CheckpointEvery = -1 }),
+		"negative admit bound": break1(func(s *Spec) { s.AdmitBound = -1 }),
+		"empty model":          break1(func(s *Spec) { s.Models = []DelayModel{{Replica: -1, Stage: -1}} }),
 		"gapped regimes": break1(func(s *Spec) {
 			s.Models = []DelayModel{{Replica: -1, Stage: -1, Regimes: []Regime{{Name: "late", FromUpdate: 5}}}}
 		}),

@@ -8,54 +8,76 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/models"
+	"repro/internal/nn"
 	syncpol "repro/internal/sync"
 )
 
 // TestStageDelayDoesNotPerturbTraining pins the fault-injection contract: an
 // injected stall is pure wall-clock — the weight trajectory and result stream
 // with a StageDelay hook installed are bit-identical to a run without one,
-// for every engine. The free-running async engine is pinned by draining
-// after every sample (which forces its one admissible schedule).
+// for every engine and for a 2-replica sync-grad cluster (which also carries
+// an AdmitBound its stepped engines ignore). The free-running async engine
+// is pinned by draining after every sample (which forces its one admissible
+// schedule).
 func TestStageDelayDoesNotPerturbTraining(t *testing.T) {
 	train, _ := data.GaussianBlobs(8, 4, 24, 0, 2.5, 1.0, 11)
 	perm := rand.New(rand.NewSource(5)).Perm(train.Len())
-	for _, engine := range []string{"seq", "lockstep", "async"} {
-		t.Run(engine, func(t *testing.T) {
-			drainEach := engine == "async"
-			cfg := ScaledConfig(0.05, 0.9, 32, 1)
-			plainNet := clusterNets(1, 21)[0]
-			plain, err := NewEngine(engine, plainNet, cfg)
-			if err != nil {
-				t.Fatal(err)
+	cases := []struct {
+		name, engine string
+		replicas     int // 0 runs the bare engine, > 0 a sync-grad cluster
+		admitBound   int
+	}{
+		{name: "seq", engine: "seq"},
+		{name: "lockstep", engine: "lockstep"},
+		{name: "async", engine: "async"},
+		{name: "cluster-sync-grad", engine: "seq", replicas: 2, admitBound: 4},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			drainEach := c.engine == "async"
+			cfg := ScaledConfig(0.05, 0.9, 32, max(c.replicas, 1))
+			build := func(cfg Config) (Engine, []*nn.Network) {
+				nets := clusterNets(max(c.replicas, 1), 21)
+				var e Engine
+				var err error
+				if c.replicas == 0 {
+					e, err = NewEngine(c.engine, nets[0], cfg)
+				} else {
+					e, err = NewCluster(nets, cfg, ClusterConfig{Engine: c.engine, Policy: syncpol.SyncGrad{}})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e, nets
 			}
+			plain, plainNets := build(cfg)
 			defer plain.Close()
 			plainRes := feedEpoch(plain, train, perm, drainEach)
 
-			hookNet := clusterNets(1, 21)[0]
 			hcfg := cfg
+			hcfg.AdmitBound = c.admitBound
 			var mu stdsync.Mutex
 			points := 0
 			hcfg.StageDelay = func(p ChaosPoint) time.Duration {
 				mu.Lock()
 				points++
 				mu.Unlock()
-				if p.Replica != -1 {
-					t.Errorf("bare engine reported replica %d, want -1", p.Replica)
+				if (p.Replica == -1) != (c.replicas == 0) {
+					t.Errorf("replica %d reported with %d replicas", p.Replica, c.replicas)
 				}
 				if p.Stage == 1 && p.Backward && p.Update%5 == 0 {
 					return 100 * time.Microsecond
 				}
 				return 0
 			}
-			hooked, err := NewEngine(engine, hookNet, hcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			hooked, hookNets := build(hcfg)
 			defer hooked.Close()
 			hookedRes := feedEpoch(hooked, train, perm, drainEach)
 
-			weightsEqual(t, engine, plainNet, hookNet)
-			resultsEqual(t, engine, plainRes, hookedRes)
+			for i := range plainNets {
+				weightsEqual(t, c.name, plainNets[i], hookNets[i])
+			}
+			resultsEqual(t, c.name, plainRes, hookedRes)
 			if points == 0 {
 				t.Fatal("StageDelay hook never consulted")
 			}

@@ -2,7 +2,6 @@ package train
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -40,15 +39,12 @@ type options struct {
 	policy        syncpol.Policy
 	ckptEvery     int
 	ckptPath      string
-	stageDelay    func(core.ChaosPoint) time.Duration
-	admitBound    int
 	seed          int64
 	sgdm          bool
 	dtype         tensor.DType
 	aug           data.Augmenter
 	evalBatch     int
 	obsBus        *obs.Bus
-	lineagePath   string
 
 	onSample []func(SampleEvent)
 	onEpoch  []func(EpochEvent)
@@ -184,36 +180,6 @@ func WithCheckpointEvery(n int, path string) Option {
 	}
 }
 
-// WithStageDelay installs a chaos stall hook on the pipelined engines: fn is
-// consulted at every stage visit (forward and backward) with the visit's
-// ChaosPoint and the stage sleeps for the returned duration before computing.
-// Under WithReplicas the cluster stamps each replica's join-order identity
-// into ChaosPoint.Replica; single-engine runs see Replica = -1. Stalls are
-// pure wall-clock — they shift timing and the free-running engine's race
-// outcomes, but never the arithmetic, so the deterministic engines stay
-// bit-identical under any hook (chaos.Schedule.Delay is the intended fn; see
-// DESIGN.md §14). Ignored by the SGDM reference. A nil fn disables stalls.
-func WithStageDelay(fn func(core.ChaosPoint) time.Duration) Option {
-	return func(o *options) { o.stageDelay = fn }
-}
-
-// WithAdmitBound caps the free-running async engine's in-flight samples at n:
-// once n submissions are unfinished, Submit blocks (bounded-staleness
-// admission) until one completes, emitting staleness/queue-depth events on
-// the observer bus and counting the deferral in Stats().AdmitDeferred. Only
-// the "async" engine enforces the bound — the stepped engines already bound
-// staleness structurally and ignore it. Zero (the default)
-// means unbounded.
-func WithAdmitBound(n int) Option {
-	return func(o *options) {
-		if n < 0 {
-			o.errs = append(o.errs, fmt.Errorf("train: admit bound %d, want ≥ 0", n))
-			return
-		}
-		o.admitBound = n
-	}
-}
-
 // WithSeed sets the run seed: the Builder is invoked with it, and the
 // epoch-permutation/augmentation RNG is derived from it (seed*7919, the
 // stream the experiment runners have always used). Default 1.
@@ -268,24 +234,6 @@ func WithAugment(aug data.Augmenter) Option {
 // without (core.TestObsDoesNotPerturbTraining).
 func WithObserver(bus *obs.Bus) Option {
 	return func(o *options) { o.obsBus = bus }
-}
-
-// WithLineage records run lineage to the JSON graph at path
-// (obs/lineage.Graph; created on first write, merged into on later ones): a
-// content-addressed config node for this Trainer's hyperparameters, a
-// checkpoint node (keyed by the snapshot file's sha256) for every
-// WithCheckpointEvery save, and a run node per Fit linking config →
-// checkpoints. Graphs from separate runs sharing a checkpoint file join on
-// the identical checkpoint node, so a serving run's lineage can be traced
-// back to the training run that produced its weights.
-func WithLineage(path string) Option {
-	return func(o *options) {
-		if path == "" {
-			o.errs = append(o.errs, fmt.Errorf("train: lineage path is empty"))
-			return
-		}
-		o.lineagePath = path
-	}
 }
 
 // OnSampleDone registers a callback streaming every completed training

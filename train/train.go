@@ -35,7 +35,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/obs/lineage"
 	"repro/internal/partition"
 	"repro/internal/sched"
 	"repro/internal/tensor"
@@ -62,12 +61,6 @@ type Trainer struct {
 	// resume holds a snapshot loaded before the first Fit, applied once the
 	// engine exists.
 	resume *checkpoint.State
-
-	// lineage state (WithLineage): the in-memory graph, its config node ID,
-	// and the checkpoint node IDs minted so far (see train/lineage.go).
-	lin       *lineage.Graph
-	linConfig string
-	linCkpts  []string
 
 	closed    bool
 	epochs    int // lifetime epochs completed
@@ -223,8 +216,6 @@ func (t *Trainer) ensureBuilt(trainSet *data.Dataset, epochs int) error {
 		cfg.Mitigation = t.o.mit
 		cfg.Workers = t.o.kernelWorkers
 		cfg.Obs = t.o.obsBus
-		cfg.StageDelay = t.o.stageDelay
-		cfg.AdmitBound = t.o.admitBound
 		// Each replica sees ~1/R of the stream, so the default MultiStep
 		// decay is sized in per-replica updates.
 		perReplica := (n + t.o.replicas - 1) / t.o.replicas
@@ -242,8 +233,6 @@ func (t *Trainer) ensureBuilt(trainSet *data.Dataset, epochs int) error {
 		cfg.Mitigation = t.o.mit
 		cfg.Workers = t.o.kernelWorkers
 		cfg.Obs = t.o.obsBus
-		cfg.StageDelay = t.o.stageDelay
-		cfg.AdmitBound = t.o.admitBound
 		cfg.Schedule = t.scheduleOr(cfg.LR, n*epochs)
 		eng, err := core.NewEngine(t.o.engine, net, cfg)
 		if err != nil {
@@ -253,7 +242,6 @@ func (t *Trainer) ensureBuilt(trainSet *data.Dataset, epochs int) error {
 	}
 	t.net = net
 	t.built = true
-	t.initLineage()
 	if t.resume != nil {
 		st := t.resume
 		t.resume = nil
@@ -432,9 +420,6 @@ func (t *Trainer) Fit(ctx context.Context, trainSet, testSet *data.Dataset, epoc
 			if err := t.Checkpoint(t.o.ckptPath); err != nil {
 				return rep, err
 			}
-			if err := t.recordLineageCheckpoint(t.o.ckptPath); err != nil {
-				return rep, err
-			}
 			for _, fn := range t.o.onCkpt {
 				fn(CheckpointEvent{Epoch: t.epochs, Path: t.o.ckptPath})
 			}
@@ -454,9 +439,6 @@ func (t *Trainer) Fit(ctx context.Context, trainSet, testSet *data.Dataset, epoc
 		rep.ObservedDelays = append([]int(nil), t.eng.ObservedDelays()...)
 		rep.Replicas = st.Replicas
 		rep.Syncs = st.Syncs
-	}
-	if err := t.recordLineageRun(rep); err != nil {
-		return rep, err
 	}
 	return rep, nil
 }

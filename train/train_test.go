@@ -731,41 +731,3 @@ func TestFacadeClusterRejectsSGDM(t *testing.T) {
 		t.Fatal("unparsable sync policy accepted")
 	}
 }
-
-// TestFacadeStageDelayDoesNotPerturb proves the chaos hook through the
-// façade is pure wall-clock: a Fit with WithStageDelay stalls the pipeline
-// but finishes with weights bit-identical to an undelayed run, for both the
-// single-engine and cluster paths, and WithAdmitBound rides along untouched
-// on the stepped engines.
-func TestFacadeStageDelayDoesNotPerturb(t *testing.T) {
-	trainSet, testSet, build := blobTask()
-	hook := func(p core.ChaosPoint) time.Duration {
-		if p.Stage == 1 && p.Update%7 == 0 {
-			return 50 * time.Microsecond
-		}
-		return 0
-	}
-	run := func(replicas int, extra ...train.Option) [][]float64 {
-		opts := []train.Option{train.WithEngine("seq"), train.WithSeed(5)}
-		if replicas > 1 {
-			opts = append(opts, train.WithReplicas(replicas, "sync-grad"))
-		}
-		tr := train.New(build, append(opts, extra...)...)
-		defer tr.Close()
-		if _, err := tr.Fit(context.Background(), trainSet, testSet, 2); err != nil {
-			t.Fatal(err)
-		}
-		return tr.Network().SnapshotWeights()
-	}
-	if !sameWeights(run(1), run(1, train.WithStageDelay(hook))) {
-		t.Fatal("WithStageDelay perturbed the single-engine trajectory")
-	}
-	if !sameWeights(run(2), run(2, train.WithStageDelay(hook), train.WithAdmitBound(4))) {
-		t.Fatal("WithStageDelay/WithAdmitBound perturbed the cluster trajectory")
-	}
-	bad := train.New(build, train.WithAdmitBound(-1))
-	defer bad.Close()
-	if _, err := bad.Fit(context.Background(), trainSet, testSet, 1); err == nil {
-		t.Fatal("negative admit bound accepted")
-	}
-}
